@@ -361,14 +361,6 @@ let ablation () =
 
 let storage () =
   heading "P1" "storage substrate micro-benchmarks";
-  let module BT = Seed_storage.Btree.Make (Int) in
-  let grow = BT.create () in
-  let c = ref 0 in
-  let lookup_tree = BT.create () in
-  for i = 0 to 99_999 do
-    BT.insert lookup_tree i i
-  done;
-  let k = ref 0 in
   let payload = String.make 4096 'x' in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "seed_bench_journal" in
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
@@ -377,14 +369,6 @@ let storage () =
   let journal = ok (Seed_storage.Journal.open_ jpath) in
   Report.bench ~name:"primitives"
     [
-      Test.make ~name:"btree insert (growing)"
-        (Staged.stage (fun () ->
-             incr c;
-             BT.insert grow !c !c));
-      Test.make ~name:"btree lookup (100k keys)"
-        (Staged.stage (fun () ->
-             k := (!k + 7919) mod 100_000;
-             ignore (BT.find lookup_tree !k)));
       Test.make ~name:"crc32 of 4 KiB"
         (Staged.stage (fun () -> ignore (Seed_storage.Crc32.digest payload)));
       Test.make ~name:"journal append 4 KiB"
@@ -836,8 +820,10 @@ let txn () =
   in
   let payload = String.make 512 't' in
   let json = ref [] in
-  (* group commit: K records as K bare frames (K fsyncs) vs one
-     transaction group (one write, one fsync) under `Always_fsync`.
+  (* group commit: K records as K one-record transactions (K fsyncs)
+     vs one K-record transaction (one write, one fsync) under
+     `Always_fsync`; the JSON field [bare_us] keeps its historical name
+     so runs stay comparable across revisions.
      Each arm gets its own fresh store and the arms are interleaved
      iteration by iteration: fsync timing drifts with file growth and
      with unrelated host activity, so timing one arm's whole loop after
@@ -885,8 +871,8 @@ let txn () =
       [ 1; 8; 64 ]
   in
   Report.table
-    ~title:"committing K records under `Always_fsync: bare frames vs one group"
-    ~header:[ "K records"; "K bare appends"; "one group"; "speedup" ]
+    ~title:"committing K records under `Always_fsync: K transactions vs one"
+    ~header:[ "K records"; "K one-record txns"; "one K-record txn"; "speedup" ]
     rows;
   (* rollback: a failed transaction of B ops dropped by swapping back
      to the savepoint root (O(1)) vs the pre-transaction alternative —
@@ -947,15 +933,16 @@ let txn () =
   Report.table
     ~title:
       (Printf.sprintf
-         "rolling back a failed %d-op transaction: undo log vs snapshot \
+         "rolling back a failed %d-op transaction: root swap vs snapshot \
           restore"
          rollback_ops)
     ~header:
-      [ "db objects"; "txn ops"; "undo rollback"; "snapshot restore"; "ratio" ]
+      [ "db objects"; "txn ops"; "root-swap rollback"; "snapshot restore"; "ratio" ]
     rows;
-  (* recovery past a dangling group: a crash mid-flush leaves an
-     unterminated group at the journal's tail; open must drop it whole *)
-  let commit_frame_bytes = 16 + 13 in
+  (* recovery past a dangling transaction: a crash mid-flush leaves an
+     unterminated transaction at the journal's tail; open must drop it
+     whole. A commit marker is a frame header plus [count | group crc]. *)
+  let commit_frame_bytes = 16 + 8 in
   let rows =
     List.map
       (fun n ->
@@ -991,25 +978,26 @@ let txn () =
       [ 100; 1_000; 10_000 ]
   in
   Report.table
-    ~title:"open with an unterminated 16-record group at the journal tail"
+    ~title:"open with an unterminated 16-record transaction at the journal tail"
     ~header:[ "committed records"; "replayed"; "txn dropped"; "open time" ]
     rows;
   let oc = open_out "BENCH_txn.json" in
   Printf.fprintf oc
     "{\n  \"bench\": \"txn\",\n  \"command\": \"dune exec bench/main.exe -- \
-     txn\",\n  \"results\": [\n%s\n  ]\n}\n"
+     txn\",\n  \"host_cores\": %d,\n  \"results\": [\n%s\n  ]\n}\n"
+    (Domain.recommended_domain_count ())
     (String.concat ",\n" (List.rev !json));
   close_out oc;
   Fmt.pr "@.wrote BENCH_txn.json@."
 
 (* ------------------------------------------------------------------ *)
-(* T2: group-commit coalescing - writer threads x journal partitions    *)
+(* T2: group-commit coalescing - writer threads on one journal          *)
 (* ------------------------------------------------------------------ *)
 
 let commit () =
   heading "T2"
-    "group commit: committed txns/s and fsyncs/txn under `Always_fsync, \
-     writer threads x journal partitions x key distribution";
+    "group commit: committed txns/s and fsyncs/txn under `Always_fsync \
+     by writer threads";
   let module Store = Seed_storage.Store in
   let module CD = Seed_storage.Commit_daemon in
   let fresh_dir =
@@ -1027,28 +1015,15 @@ let commit () =
       d
   in
   let payload = String.make 512 'c' in
-  (* Two key distributions. [`Uniform] draws routing keys from a 64-key
-     pool, spreading groups over all partitions — independent root
-     objects under hash routing, the fan-out case. [`Hot] routes every
-     group with the same key — concurrent writers contending on one
-     root entity, the pure-coalescing case (all load on one partition's
-     daemon). Writers are sys-threads, not domains: on few cores the
-     blocking fsync releases the runtime lock, which is exactly the
-     window where the other writers enqueue, and thread wake-up is
-     cheaper than cross-domain wake-up. *)
-  let key_of workload w n =
-    match workload with
-    | `Hot -> "hot-root"
-    | `Uniform -> Printf.sprintf "obj%d" (((w * 131) + (n * 7)) mod 64)
-  in
-  let workload_name = function `Hot -> "hot" | `Uniform -> "uniform" in
+  (* Writers are sys-threads, not domains: on few cores the blocking
+     fsync releases the runtime lock, which is exactly the window where
+     the other writers enqueue, and thread wake-up is cheaper than
+     cross-domain wake-up. *)
   let json = ref [] in
-  let baselines = Hashtbl.create 8 in
-  let run ~workload ~writers ~partitions =
+  let baseline = ref 0. in
+  let run writers =
     let dir = fresh_dir () in
-    let store, _, _, _ =
-      ok (Store.open_dir ~sync:`Always_fsync ~partitions dir)
-    in
+    let store, _, _, _ = ok (Store.open_dir ~sync:`Always_fsync dir) in
     let stop = Atomic.make false in
     let ready = Atomic.make 0 in
     let counts = Array.make writers 0 in
@@ -1061,8 +1036,7 @@ let commit () =
           done;
           let n = ref 0 in
           while not (Atomic.get stop) do
-            ok (Store.append_group ~key:(key_of workload w !n) store
-                  [ payload; payload ]);
+            ok (Store.append_group store [ payload; payload ]);
             incr n
           done;
           counts.(w) <- !n)
@@ -1089,26 +1063,17 @@ let commit () =
     Store.close store;
     let txns_s = float_of_int txns /. elapsed in
     let fsyncs_txn = float_of_int s.CD.fsyncs /. float_of_int (max 1 txns) in
-    if writers = 1 then
-      Hashtbl.replace baselines (workload_name workload, partitions) txns_s;
-    let speedup =
-      match Hashtbl.find_opt baselines (workload_name workload, partitions) with
-      | Some base when base > 0. -> txns_s /. base
-      | _ -> 1.
-    in
+    if writers = 1 then baseline := txns_s;
+    let speedup = if !baseline > 0. then txns_s /. !baseline else 1. in
     json :=
       Printf.sprintf
-        "    {\"case\": \"group_commit_scaling\", \"workload\": \"%s\", \
-         \"writers\": %d, \"partitions\": %d, \"txns_per_sec\": %.0f, \
-         \"speedup_vs_1_writer\": %.2f, \"fsyncs_per_txn\": %.3f, \
-         \"max_batch\": %d, \"queue_hwm\": %d}"
-        (workload_name workload) writers partitions txns_s speedup fsyncs_txn
-        s.CD.max_batch s.CD.queue_hwm
+        "    {\"case\": \"group_commit_scaling\", \"writers\": %d, \
+         \"txns_per_sec\": %.0f, \"speedup_vs_1_writer\": %.2f, \
+         \"fsyncs_per_txn\": %.3f, \"max_batch\": %d, \"queue_hwm\": %d}"
+        writers txns_s speedup fsyncs_txn s.CD.max_batch s.CD.queue_hwm
       :: !json;
     [
-      workload_name workload;
       string_of_int writers;
-      string_of_int partitions;
       Printf.sprintf "%.0f" txns_s;
       Printf.sprintf "%.2fx" speedup;
       Printf.sprintf "%.2f" fsyncs_txn;
@@ -1116,28 +1081,15 @@ let commit () =
       string_of_int s.CD.queue_hwm;
     ]
   in
-  let rows =
-    List.concat_map
-      (fun partitions ->
-        List.map
-          (fun writers -> run ~workload:`Uniform ~writers ~partitions)
-          [ 1; 2; 4; 8; 16; 32 ])
-      [ 1; 4 ]
-    @ List.map
-        (fun writers -> run ~workload:`Hot ~writers ~partitions:4)
-        [ 1; 2; 4; 8; 16 ]
-  in
+  let rows = List.map run [ 1; 2; 4; 8; 16; 32 ] in
   Report.table
     ~title:
       (Printf.sprintf
-         "2-record transaction groups under `Always_fsync (%d cores): \
-          coalesced commits and partition fan-out"
+         "2-record transactions under `Always_fsync (%d cores): coalesced \
+          commits on one journal"
          (Domain.recommended_domain_count ()))
     ~header:
-      [
-        "workload"; "writers"; "parts"; "txns/s"; "vs 1 wr"; "fsyncs/txn";
-        "max batch"; "q hwm";
-      ]
+      [ "writers"; "txns/s"; "vs 1 wr"; "fsyncs/txn"; "max batch"; "q hwm" ]
     rows;
   let oc = open_out "BENCH_commit.json" in
   Printf.fprintf oc
@@ -1145,13 +1097,9 @@ let commit () =
     \  \"bench\": \"commit\",\n\
     \  \"command\": \"dune exec bench/main.exe -- commit\",\n\
     \  \"host_cores\": %d,\n\
-    \  \"environment_note\": \"single-core host: writer wake-up and the \
-     commit-window quantum (~75us OS sleep floor) serialize between \
-     fsyncs, and concurrent fsyncs to separate journal files scale \
-     ~1.6x at 4 streams on this filesystem; the speedup from batching \
-     therefore ramps with writer count rather than arriving at 4 \
-     writers, and the fsyncs/txn column is the hardware-independent \
-     measure of coalescing\",\n\
+    \  \"environment_note\": \"txns/s depends on the filesystem's fsync \
+     latency and on writer wake-up cost; fsyncs/txn is the \
+     hardware-independent measure of coalescing\",\n\
     \  \"results\": [\n\
      %s\n\
     \  ]\n\

@@ -1011,15 +1011,17 @@ let serve_cmd =
         Persist.Session.close session;
         exit_err e
       | Ok listener ->
+        (* the handlers go in before the serving line: a supervisor may
+           signal as soon as it reads that line *)
+        let stop = ref false in
+        let handler = Sys.Signal_handle (fun _ -> stop := true) in
+        Sys.set_signal Sys.sigint handler;
+        Sys.set_signal Sys.sigterm handler;
         (* the exact line a supervisor (or a test) scrapes for the
            ephemeral port when started with --port 0 *)
         Fmt.pr "seed: serving %s on %s:%d (session ttl %gs)@." dir host
           (Seed_net.Net_server.port listener)
           ttl;
-        let stop = ref false in
-        let handler = Sys.Signal_handle (fun _ -> stop := true) in
-        Sys.set_signal Sys.sigint handler;
-        Sys.set_signal Sys.sigterm handler;
         while not !stop do
           Thread.delay 0.1
         done;

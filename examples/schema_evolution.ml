@@ -45,16 +45,6 @@ let () =
   let schema_v1 = ok (Schema_text.parse v1_text) in
   let schema_v2 = ok (Schema_text.parse v2_text) in
 
-  Fmt.pr "-- changes from revision 1 to revision 2 --@.";
-  List.iter
-    (fun c ->
-      Fmt.pr "  %a  [%s]@." Schema_diff.pp_change c
-        (match Schema_diff.classify c with
-        | Schema_diff.Compatible -> "compatible"
-        | Schema_diff.Incompatible -> "incompatible"))
-    (Schema_diff.diff schema_v1 schema_v2);
-  Fmt.pr "overall compatible: %b@.@." (Schema_diff.compatible schema_v1 schema_v2);
-
   (* live migration *)
   let db = DB.create schema_v1 in
   let paper = ok (DB.create_object db ~cls:"Document" ~name:"SEED-Paper" ()) in

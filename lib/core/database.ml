@@ -744,7 +744,6 @@ type stats = {
   st_text_fallbacks : int;
   st_snapshots : int;
   st_commits : int;
-  st_partitions : int;
   st_txns_submitted : int;
   st_txn_batches : int;
   st_txn_fsyncs : int;
@@ -804,7 +803,6 @@ let stats db =
     st_text_fallbacks = text_fallbacks;
     st_snapshots = Db_state.snapshot_grabs db;
     st_commits = Db_state.commits_published db;
-    st_partitions = List.length ws;
     st_txns_submitted = total.Seed_storage.Commit_daemon.submitted;
     st_txn_batches = total.Seed_storage.Commit_daemon.batches;
     st_txn_fsyncs = total.Seed_storage.Commit_daemon.fsyncs;
@@ -826,7 +824,10 @@ let pp_stats ppf s =
      text index: %s@,\
      text queries: %d indexed / %d scanned@,\
      snapshots grabbed: %d@,\
-     roots published: %d@]"
+     roots published: %d@,\
+     txns committed: %d in %d writes / %d fsyncs%s@,\
+     largest coalesced batch: %d@,\
+     commit queue high-water: %d@]"
     s.st_objects s.st_sub_objects s.st_relationships s.st_patterns
     s.st_versions s.st_items_total s.st_dirty s.st_schema_revision s.st_vc_hits
     s.st_vc_misses s.st_vc_evictions
@@ -835,20 +836,13 @@ let pp_stats ppf s =
          s.st_text_docs s.st_text_trigrams s.st_text_postings
          (s.st_text_bytes / 1024)
      else "disabled")
-    s.st_text_hits s.st_text_fallbacks s.st_snapshots s.st_commits;
-  if s.st_partitions > 0 then
-    Fmt.pf ppf
-      "@,\
-       @[<v>journal partitions: %d@,\
-       txns committed: %d in %d writes / %d fsyncs%s@,\
-       largest coalesced batch: %d@,\
-       commit queue high-water: %d@]"
-      s.st_partitions s.st_txns_submitted s.st_txn_batches s.st_txn_fsyncs
-      (if s.st_txn_batches > 0 then
-         Printf.sprintf " (%.2f txns/write)"
-           (float_of_int s.st_txns_submitted /. float_of_int s.st_txn_batches)
-       else "")
-      s.st_txn_max_batch s.st_txn_queue_hwm
+    s.st_text_hits s.st_text_fallbacks s.st_snapshots s.st_commits
+    s.st_txns_submitted s.st_txn_batches s.st_txn_fsyncs
+    (if s.st_txn_batches > 0 then
+       Printf.sprintf " (%.2f txns/write)"
+         (float_of_int s.st_txns_submitted /. float_of_int s.st_txn_batches)
+     else "")
+    s.st_txn_max_batch s.st_txn_queue_hwm
 
 let completeness_report db = Completeness.check_database (view db)
 

@@ -81,12 +81,12 @@ val commits_published : t -> int
 val set_write_stats_source :
   t -> (unit -> (int * Seed_storage.Commit_daemon.stats) list) -> unit
 (** Registered by the durable session layer: a thunk yielding the
-    store's per-partition group-commit counters, so {!Database.stats}
+    store's group-commit counters, so {!Database.stats}
     can report the write path without this layer holding a store. *)
 
 val write_stats : t -> (int * Seed_storage.Commit_daemon.stats) list
-(** Per-partition group-commit counters of the attached store; [[]]
-    when the database has no durable session. *)
+(** Group-commit counters of the attached store; [[]] when the
+    database has no durable session. *)
 
 val begin_txn : t -> unit
 (** Pin the working root as the transaction savepoint; {!publish}

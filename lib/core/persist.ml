@@ -495,10 +495,10 @@ module Session = struct
     Ident.Tbl.reset t.shadows;
     Db_state.iter_items (Database.raw t.database) (fun it -> remember t it)
 
-  let open_ ~dir ?schema ?(verify = true) ?io ?sync ?generations ?partitions
-      ?retry ?sleep () =
+  let open_ ~dir ?schema ?(verify = true) ?io ?sync ?generations ?retry ?sleep
+      () =
     let* store, snapshot, records, recovery =
-      Store.open_dir ?io ?sync ?generations ?partitions ?retry ?sleep dir
+      Store.open_dir ?io ?sync ?generations ?retry ?sleep dir
     in
     let* parts = load_parts snapshot records in
     let* database =
@@ -551,18 +551,10 @@ module Session = struct
       List.map record_item dirty_items
       @ (if String.equal fp t.meta_fingerprint then [] else [ record_meta st ])
     in
-    (* routed by the root object of the batch: a checkin's group lands
-       whole on one journal partition, and conflicting checkins (same
-       root, serialized by the server's lock table) share a partition *)
-    let key =
-      match dirty_items with
-      | (it : Item.t) :: _ -> Some (Ident.to_string it.Item.id)
-      | [] -> None
-    in
-    (* one transaction group: a crash mid-flush durably persists either
-       the whole batch (items + meta) or none of it — recovery can no
-       longer see a prefix of a checkin *)
-    let* () = Store.append_group ?key t.store records in
+    (* one transaction: a crash mid-flush durably persists either the
+       whole batch (items + meta) or none of it — recovery never sees a
+       prefix of a checkin *)
+    let* () = Store.append_group t.store records in
     List.iter (fun it -> remember t it) dirty_items;
     t.meta_fingerprint <- fp;
     Ok ()
@@ -574,7 +566,6 @@ module Session = struct
     Ok ()
 
   let journal_records t = Store.journal_size t.store
-  let partitions t = Store.partitions t.store
   let write_stats t = Store.write_stats t.store
   let sync t = Store.sync t.store
 

@@ -38,7 +38,7 @@ module Session : sig
   val open_ :
     dir:string -> ?schema:Schema.t -> ?verify:bool ->
     ?io:Seed_storage.Io.t -> ?sync:Seed_storage.Store.sync_policy ->
-    ?generations:int -> ?partitions:int -> ?retry:Retry.policy ->
+    ?generations:int -> ?retry:Retry.policy ->
     ?sleep:(float -> unit) ->
     unit ->
     (t, Seed_error.t) result
@@ -47,10 +47,7 @@ module Session : sig
       [`Flush_only]) sets the durability of every journal append; [io]
       substitutes the I/O environment (fault injection in tests);
       [generations] (default 2) how many old snapshots compaction keeps
-      for generation-by-generation recovery fallback; [partitions]
-      (default 1) how many journal partitions the store writes to —
-      each with its own group-commit daemon and fsync stream, merged
-      back into one replay order on open; [retry]/[sleep] the
+      for generation-by-generation recovery fallback; [retry]/[sleep] the
       bounded-backoff policy absorbing transient I/O faults (see
       {!Seed_storage.Store.open_dir}). *)
 
@@ -65,9 +62,8 @@ module Session : sig
   (** Append journal records for every item whose state or history
       changed since the last flush, plus a metadata record when the
       version tree, schema, or id generator advanced. The batch is one
-      atomic transaction group, routed whole to the journal partition
-      of the batch's first (root) dirty item; concurrent flushes
-      coalesce into shared fsyncs via the partition's commit daemon. *)
+      atomic transaction; concurrent flushes coalesce into shared
+      fsyncs via the store's commit daemon. *)
 
   val compact : t -> (unit, Seed_error.t) result
   (** Write a fresh snapshot and truncate the journal. *)
@@ -75,11 +71,8 @@ module Session : sig
   val journal_records : t -> int
   (** Records in the journal since the last compaction. *)
 
-  val partitions : t -> int
-  (** Journal partitions the session's store writes to. *)
-
   val write_stats : t -> (int * Seed_storage.Commit_daemon.stats) list
-  (** Per-partition group-commit counters (see
+  (** The store's group-commit counters (see
       {!Seed_storage.Store.write_stats}). *)
 
   val sync : t -> (unit, Seed_error.t) result

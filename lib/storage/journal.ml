@@ -9,21 +9,26 @@ type t = {
   sync_policy : sync_policy;
   pending : Buffer.t;  (* frames not yet handed to the OS (`None policy) *)
   mutable file : Io.file option;
-  mutable next_txn : int;
 }
 
-(* "SEE3": version 3 of the frame format (epoch-tagged, with the frame
-   CRC covering the epoch and length header fields as well as the
-   payload, so a bit flipped anywhere in the frame except the magic is
-   caught as damage rather than silently changing the frame's epoch or
-   extent). *)
-let magic = 0x53454533l
+(* "SEE4": data frames of version 4 of the journal layout, in which
+   every transaction, of one record or many, is its data frames followed
+   by one commit marker. The frame CRC covers the epoch and length
+   header fields as well as the payload, so a bit flipped anywhere in
+   the frame except the magic is caught as damage rather than silently
+   changing the frame's epoch or extent. *)
+let magic = 0x53454534l
 
-(* "SEEC": control frames — transaction begin/commit/solo markers. Same
-   envelope as data frames, so the CRC/torn-tail machinery covers them
-   for free; a distinct magic keeps old readers from mistaking a marker
-   for a record. *)
-let control_magic = 0x53454543l
+(* "SEC4": commit markers. Same envelope as data frames, so the
+   CRC/torn-tail machinery covers them for free. *)
+let commit_magic = 0x53454334l
+
+(* The retired version-3 layout ("SEE3" data, "SEEC" begin/commit/solo
+   markers) used the same envelope. Its frames are recognized only to
+   refuse the journal: under version 4 a marker-less frame is an orphan,
+   so reading a version-3 journal would silently drop its records. *)
+let v3_magic = 0x53454533l
+let v3_control_magic = 0x53454543l
 
 let header_bytes = 16
 
@@ -38,7 +43,6 @@ let open_ ?(io = Io.real) ?(sync = `Flush_only) ?(epoch = 0) path =
         sync_policy = sync;
         pending = Buffer.create 256;
         file = Some file;
-        next_txn = 1;
       })
 
 let file_of j =
@@ -50,56 +54,36 @@ let file_of j =
    the magic — so header corruption is detected like payload
    corruption. *)
 let frame_crc ~epoch payload =
-  let b = Buffer.create (8 + String.length payload) in
-  Buffer.add_int32_le b (Int32.of_int epoch);
-  Buffer.add_int32_le b (Int32.of_int (String.length payload));
-  Buffer.add_string b payload;
-  Crc32.digest (Buffer.contents b)
+  let h = Bytes.create 8 in
+  Bytes.set_int32_le h 0 (Int32.of_int epoch);
+  Bytes.set_int32_le h 4 (Int32.of_int (String.length payload));
+  Crc32.digest ~init:(Crc32.digest_sub h ~pos:0 ~len:8) payload
 
-let frame_with ~magic:m epoch payload =
-  let b = Buffer.create (String.length payload + header_bytes) in
+(* Appends one frame to [b] and returns its CRC. *)
+let add_frame b ~magic:m epoch payload =
+  let crc = frame_crc ~epoch payload in
   Buffer.add_int32_le b m;
   Buffer.add_int32_le b (Int32.of_int epoch);
   Buffer.add_int32_le b (Int32.of_int (String.length payload));
-  Buffer.add_int32_le b (frame_crc ~epoch payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
-
-let frame epoch payload = frame_with ~magic epoch payload
-
-(* Control payloads: [kind u8 | txn u32] for begin,
-   [kind u8 | txn u32 | count u32 | group crc u32] for commit, and
-   [kind u8 | txn u32 | crc u32] for a solo marker. The commit/solo CRC
-   covers the record payload(s), so a marker vouches for the exact
-   records it closes, not just their count. *)
-let begin_payload txn =
-  let b = Buffer.create 5 in
-  Buffer.add_uint8 b 0;
-  Buffer.add_int32_le b (Int32.of_int txn);
-  Buffer.contents b
-
-let commit_payload ~txn ~count ~group_crc =
-  let b = Buffer.create 13 in
-  Buffer.add_uint8 b 1;
-  Buffer.add_int32_le b (Int32.of_int txn);
-  Buffer.add_int32_le b (Int32.of_int count);
-  Buffer.add_int32_le b group_crc;
-  Buffer.contents b
-
-(* A solo marker folds Begin and Commit into one control frame for
-   single-record transactions: it sequences (txn) and vouches for (crc)
-   exactly the one data frame that follows it. *)
-let solo_payload ~txn ~crc =
-  let b = Buffer.create 9 in
-  Buffer.add_uint8 b 2;
-  Buffer.add_int32_le b (Int32.of_int txn);
   Buffer.add_int32_le b crc;
-  Buffer.contents b
+  Buffer.add_string b payload;
+  crc
 
-(* Chained digests give the same value as digesting the concatenation,
-   without materializing the concatenated copy on the commit path. *)
-let group_crc payloads =
-  List.fold_left (fun acc p -> Crc32.digest ~init:acc p) 0l payloads
+(* The group CRC digests the data frames' own CRCs, which already cover
+   each record's epoch, length and payload: the commit marker vouches
+   for the exact records it closes without a second pass over their
+   bytes. *)
+let group_crc frame_crcs =
+  let b = Buffer.create (4 * List.length frame_crcs) in
+  List.iter (Buffer.add_int32_le b) frame_crcs;
+  Crc32.digest (Buffer.contents b)
+
+(* The commit payload is [count u32 | group crc u32]. *)
+let commit_payload frame_crcs =
+  let b = Buffer.create 8 in
+  Buffer.add_int32_le b (Int32.of_int (List.length frame_crcs));
+  Buffer.add_int32_le b (group_crc frame_crcs);
+  Buffer.contents b
 
 let write_pending j (f : Io.file) =
   if Buffer.length j.pending > 0 then begin
@@ -110,27 +94,6 @@ let write_pending j (f : Io.file) =
 (* ------------------------------------------------------------------ *)
 (* Appending                                                            *)
 (* ------------------------------------------------------------------ *)
-
-type entry =
-  | Bare of string
-  | Solo of { seq : int; payload : string }
-  | Group of { seq : int; payloads : string list }
-
-let encode_entry j b = function
-  | Bare p -> Buffer.add_string b (frame j.jepoch p)
-  | Solo { seq; payload } ->
-    Buffer.add_string b
-      (frame_with ~magic:control_magic j.jepoch
-         (solo_payload ~txn:seq ~crc:(Crc32.digest payload)));
-    Buffer.add_string b (frame j.jepoch payload)
-  | Group { seq; payloads } ->
-    Buffer.add_string b
-      (frame_with ~magic:control_magic j.jepoch (begin_payload seq));
-    List.iter (fun p -> Buffer.add_string b (frame j.jepoch p)) payloads;
-    Buffer.add_string b
-      (frame_with ~magic:control_magic j.jepoch
-         (commit_payload ~txn:seq ~count:(List.length payloads)
-            ~group_crc:(group_crc payloads)))
 
 let write_bytes j f bytes =
   match j.sync_policy with
@@ -143,39 +106,27 @@ let write_bytes j f bytes =
     f.Io.write bytes;
     f.Io.fsync ()
 
-let append_entries j entries =
-  match entries with
+let append_batch j txns =
+  match List.filter (fun ps -> ps <> []) txns with
   | [] -> Ok ()
-  | _ ->
+  | txns ->
     let* f = file_of j in
     wrap_io (fun () ->
         let b = Buffer.create 512 in
-        List.iter (encode_entry j b) entries;
-        (* all the entries go down in one write (and, under
-           [`Always_fsync], one fsync): a crash leaves each transaction
-           either whole or marker-less — never a committed prefix *)
+        List.iter
+          (fun payloads ->
+            let crcs = List.map (add_frame b ~magic j.jepoch) payloads in
+            ignore
+              (add_frame b ~magic:commit_magic j.jepoch (commit_payload crcs)))
+          txns;
+        (* all the transactions go down in one write (and, under
+           [`Always_fsync], one fsync): a crash leaves each of them
+           either whole or without its commit marker — never a
+           committed prefix *)
         write_bytes j f (Buffer.contents b))
 
-let append j payload =
-  let* f = file_of j in
-  wrap_io (fun () -> write_bytes j f (frame j.jepoch payload))
-
-let fresh_seq j =
-  let txn = j.next_txn in
-  j.next_txn <- txn + 1;
-  txn
-
-let append_group ?seq j payloads =
-  match payloads with
-  | [] -> Ok ()
-  | [ p ] ->
-    (* a single-record transaction needs no markers: a bare frame is
-       already individually committed (all-or-nothing is trivial for one
-       record), so the group framing would be pure overhead *)
-    append_entries j [ Bare p ]
-  | _ ->
-    let seq = match seq with Some s -> s | None -> fresh_seq j in
-    append_entries j [ Group { seq; payloads } ]
+let append_group j payloads = append_batch j [ payloads ]
+let append j payload = append_batch j [ [ payload ] ]
 
 let sync j =
   let* f = file_of j in
@@ -201,41 +152,17 @@ let sync_policy j = j.sync_policy
 (* Recovery-side reads                                                  *)
 (* ------------------------------------------------------------------ *)
 
-type kind =
-  | Data
-  | Begin of { txn : int }
-  | Commit of { txn : int; count : int; crc : int32 }
-  | Solo_marker of { txn : int; crc : int32 }
+type kind = Data | Commit of { count : int; crc : int32 }
 
 type frame = {
   f_epoch : int;
   f_payload : string;
   f_offset : int;
+  f_crc : int32;
   f_kind : kind;
 }
 
 type damage = { d_offset : int; d_end : int; d_reason : string }
-
-let decode_control payload =
-  let len = String.length payload in
-  if len = 5 && String.get_uint8 payload 0 = 0 then
-    Some (Begin { txn = Int32.to_int (String.get_int32_le payload 1) })
-  else if len = 13 && String.get_uint8 payload 0 = 1 then
-    Some
-      (Commit
-         {
-           txn = Int32.to_int (String.get_int32_le payload 1);
-           count = Int32.to_int (String.get_int32_le payload 5);
-           crc = String.get_int32_le payload 9;
-         })
-  else if len = 9 && String.get_uint8 payload 0 = 2 then
-    Some
-      (Solo_marker
-         {
-           txn = Int32.to_int (String.get_int32_le payload 1);
-           crc = String.get_int32_le payload 5;
-         })
-  else None
 
 type scan_result = {
   frames : frame list;
@@ -247,74 +174,90 @@ let scan ?(io = Io.real) path =
   if not (io.Io.exists path) then
     Ok { frames = []; scan_damage = []; file_size = 0 }
   else
-    wrap_io (fun () ->
-        let buf = io.Io.read_file path in
-        let size = String.length buf in
-        (* parse the frame whose header starts at [pos] *)
-        let frame_at pos =
-          if size - pos < header_bytes then `Bad "truncated frame header"
-          else
-            let m = String.get_int32_le buf pos in
-            if m <> magic && m <> control_magic then `Bad "bad magic"
+    let* records, damages, v3_frame, size =
+      wrap_io (fun () ->
+          let buf = io.Io.read_file path in
+          let size = String.length buf in
+          (* parse the frame whose header starts at [pos] *)
+          let frame_at pos =
+            if size - pos < header_bytes then `Bad "truncated frame header"
             else
-              let ep = Int32.to_int (String.get_int32_le buf (pos + 4)) in
-              let len = Int32.to_int (String.get_int32_le buf (pos + 8)) in
-              let crc = String.get_int32_le buf (pos + 12) in
-              if ep < 0 then `Bad "negative epoch"
-              else if len < 0 then `Bad "negative length"
-              else if size - pos - header_bytes < len then
-                `Bad "truncated payload"
+              let m = String.get_int32_le buf pos in
+              if
+                m <> magic && m <> commit_magic && m <> v3_magic
+                && m <> v3_control_magic
+              then `Bad "bad magic"
               else
-                let payload = String.sub buf (pos + header_bytes) len in
-                if frame_crc ~epoch:ep payload <> crc then `Bad "crc mismatch"
-                else if m = magic then
-                  `Frame
-                    ( { f_epoch = ep; f_payload = payload; f_offset = pos;
-                        f_kind = Data },
-                      pos + header_bytes + len )
+                let ep = Int32.to_int (String.get_int32_le buf (pos + 4)) in
+                let len = Int32.to_int (String.get_int32_le buf (pos + 8)) in
+                let crc = String.get_int32_le buf (pos + 12) in
+                if ep < 0 then `Bad "negative epoch"
+                else if len < 0 then `Bad "negative length"
+                else if size - pos - header_bytes < len then
+                  `Bad "truncated payload"
                 else
-                  match decode_control payload with
-                  | None -> `Bad "bad control record"
-                  | Some k ->
+                  let payload = String.sub buf (pos + header_bytes) len in
+                  let frame kind =
                     `Frame
                       ( { f_epoch = ep; f_payload = payload; f_offset = pos;
-                          f_kind = k },
+                          f_crc = crc; f_kind = kind },
                         pos + header_bytes + len )
-        in
-        (* after damage, hunt byte-by-byte for the next offset where a
-           whole frame — magic, sane lengths, matching CRC — parses; the
-           CRC makes a false resync on payload bytes vanishingly unlikely *)
-        let rec resync pos =
-          if size - pos < header_bytes then None
-          else
-            let m = String.get_int32_le buf pos in
-            if
-              (m = magic || m = control_magic)
-              && match frame_at pos with `Frame _ -> true | `Bad _ -> false
-            then Some pos
-            else resync (pos + 1)
-        in
-        let records = ref [] and damages = ref [] in
-        let rec loop pos =
-          if pos < size then
-            match frame_at pos with
-            | `Frame (f, next) ->
-              records := f :: !records;
-              loop next
-            | `Bad d_reason -> (
-              match resync (pos + 1) with
-              | Some next ->
-                damages := { d_offset = pos; d_end = next; d_reason } :: !damages;
+                  in
+                  if frame_crc ~epoch:ep payload <> crc then `Bad "crc mismatch"
+                  else if m = magic then frame Data
+                  else if m <> commit_magic then `V3
+                  else if len <> 8 then `Bad "bad commit marker"
+                  else
+                    frame
+                      (Commit
+                         {
+                           count = Int32.to_int (String.get_int32_le payload 0);
+                           crc = String.get_int32_le payload 4;
+                         })
+          in
+          (* after damage, hunt byte-by-byte for the next offset where a
+             whole frame — magic, sane lengths, matching CRC — parses; the
+             CRC makes a false resync on payload bytes vanishingly
+             unlikely *)
+          let rec resync pos =
+            if size - pos < header_bytes then None
+            else
+              match frame_at pos with
+              | `Frame _ | `V3 -> Some pos
+              | `Bad _ -> resync (pos + 1)
+          in
+          let records = ref [] and damages = ref [] in
+          let rec loop pos =
+            if pos >= size then None
+            else
+              match frame_at pos with
+              | `Frame (f, next) ->
+                records := f :: !records;
                 loop next
-              | None ->
-                damages := { d_offset = pos; d_end = size; d_reason } :: !damages)
-        in
-        loop 0;
-        {
-          frames = List.rev !records;
-          scan_damage = List.rev !damages;
-          file_size = size;
-        })
+              | `V3 -> Some pos
+              | `Bad d_reason -> (
+                match resync (pos + 1) with
+                | Some next ->
+                  damages := { d_offset = pos; d_end = next; d_reason } :: !damages;
+                  loop next
+                | None ->
+                  damages := { d_offset = pos; d_end = size; d_reason } :: !damages;
+                  None)
+          in
+          let v3_frame = loop 0 in
+          (List.rev !records, List.rev !damages, v3_frame, size))
+    in
+    match v3_frame with
+    | Some off ->
+      fail
+        (Corrupt
+           (Printf.sprintf
+              "journal %s: frame at offset %d is in the retired SEE3 journal \
+               layout (bare, solo and begin/commit frames), which this \
+               version does not read; compact the store with the release \
+               that wrote it, then reopen"
+              path off))
+    | None -> Ok { frames = records; scan_damage = damages; file_size = size }
 
 let tail_damage s =
   match List.rev s.scan_damage with
@@ -330,145 +273,66 @@ let quarantined s =
 (* Transaction-group resolution                                         *)
 (* ------------------------------------------------------------------ *)
 
-type unit_ = { u_seq : int option; u_frames : frame list }
-
 type groups = {
-  g_units : unit_ list;
-  g_committed : frame list;
+  g_txns : frame list list;
   g_dropped_records : int;
   g_tail_records : int;
-  g_tail_begin : int option;
+  g_tail_start : int option;
 }
 
-let max_seq frames =
-  List.fold_left
-    (fun acc f ->
-      match f.f_kind with
-      | Begin { txn } | Commit { txn; _ } | Solo_marker { txn; _ } ->
-        max acc txn
-      | Data -> acc)
-    0 frames
+let committed g = List.concat g.g_txns
 
 let resolve_groups ?(damage = []) frames =
-  (* Walks the intact frames in append order. A bare data frame (old
-     journals, single-record appends) is committed on its own, without a
-     sequence tag. A [Begin] opens a group; the group's records count
-     only when a matching [Commit] (same txn, right count, right group
-     CRC) closes it — anything else drops the whole group, never a
-     prefix of it. A [Solo_marker] is a fused begin+commit: it commits
-     exactly the one data frame following it, when that frame's payload
-     CRC matches.
+  (* Walks the intact frames in append order, collecting data frames
+     until a commit marker closes them. A marker for [count] records
+     commits the last [count] collected frames when their frame CRCs
+     match its group CRC, and drops them otherwise. Collected frames
+     before those [count] never got a commit marker of their own: they
+     are orphans of a transaction whose marker was lost, and are
+     dropped.
 
-     A quarantined [damage] region falling inside an open group is a
-     barrier: the group cannot be trusted across it. The records before
-     the barrier are dropped; the records after it are in limbo until
-     the next marker decides them — a [Commit] means the group ran past
-     the damage (a record was destroyed, so the whole group drops), a
-     [Begin]/[Solo_marker] or the end of the file means the damage most
-     plausibly ate the commit marker, so the limbo records are
-     independent appends that must survive. *)
-  let units = ref [] and dropped = ref 0 in
-  let tail_records = ref 0 and tail_begin = ref None in
-  let commit_unit ?seq fs = units := { u_seq = seq; u_frames = fs } :: !units in
-  let commit_bare fs =
-    List.iter (fun f -> commit_unit [ f ]) fs
-  in
+     A quarantined [damage] region between two frames is a barrier: a
+     transaction cannot span damaged bytes, so whatever was collected
+     before it is dropped. Frames still collected at the end of the
+     journal form the unterminated tail. *)
+  let txns = ref [] and dropped = ref 0 in
+  let drop n = dropped := !dropped + n in
   let barrier ~last_off f =
     List.exists (fun d -> d.d_offset > last_off && d.d_end <= f.f_offset) damage
   in
-  let rec walk frames =
-    match frames with
-    | [] -> ()
+  (* [pending] holds the [n] collected data frames, newest first *)
+  let rec walk ~last_off pending n = function
+    | [] -> (pending, n)
     | f :: rest -> (
+      let pending, n =
+        if barrier ~last_off f then begin
+          drop n;
+          ([], 0)
+        end
+        else (pending, n)
+      in
       match f.f_kind with
-      | Data ->
-        commit_unit [ f ];
-        walk rest
-      | Commit _ ->
-        (* a stray commit with no open group: ignore the marker *)
-        walk rest
-      | Begin { txn } ->
-        in_group ~txn ~begin_off:f.f_offset ~last_off:f.f_offset [] rest
-      | Solo_marker { txn; crc } ->
-        solo ~txn ~crc ~off:f.f_offset rest)
-  and solo ~txn ~crc ~off frames =
-    match frames with
-    | [] ->
-      (* journal ends at the marker: the record never landed; the
-         marker itself is a truncatable dangling tail *)
-      tail_begin := Some off
-    | f :: rest ->
-      if barrier ~last_off:off f then begin
-        (* the record the marker vouches for was destroyed *)
-        walk (f :: rest)
-      end
-      else (
-        match f.f_kind with
-        | Data when Crc32.digest f.f_payload = crc ->
-          commit_unit ~seq:txn [ f ];
-          walk rest
-        | _ ->
-          (* orphaned marker: whatever follows stands on its own *)
-          walk (f :: rest))
-  and in_group ~txn ~begin_off ~last_off acc frames =
-    match frames with
-    | [] ->
-      (* journal ends inside the group: uncommitted tail, truncatable *)
-      dropped := !dropped + List.length acc;
-      tail_records := List.length acc;
-      tail_begin := Some begin_off
-    | f :: rest ->
-      if barrier ~last_off f then begin
-        dropped := !dropped + List.length acc;
-        limbo [] (f :: rest)
-      end
-      else (
-        match f.f_kind with
-        | Data -> in_group ~txn ~begin_off ~last_off:f.f_offset (f :: acc) rest
-        | Begin { txn = txn' } ->
-          (* nested begin: the open group never committed *)
-          dropped := !dropped + List.length acc;
-          in_group ~txn:txn' ~begin_off:f.f_offset ~last_off:f.f_offset [] rest
-        | Solo_marker { txn = txn'; crc } ->
-          (* a marker interrupting an open group: the group never
-             committed *)
-          dropped := !dropped + List.length acc;
-          solo ~txn:txn' ~crc ~off:f.f_offset rest
-        | Commit { txn = ctxn; count; crc } ->
-          let recs = List.rev acc in
-          let ok =
-            ctxn = txn
-            && count = List.length recs
-            && crc = group_crc (List.map (fun r -> r.f_payload) recs)
-          in
-          if ok then commit_unit ~seq:txn recs
-          else dropped := !dropped + List.length recs;
-          walk rest)
-  and limbo acc frames =
-    match frames with
-    | [] -> commit_bare (List.rev acc)
-    | f :: rest -> (
-      match f.f_kind with
-      | Data -> limbo (f :: acc) rest
-      | Begin { txn } ->
-        commit_bare (List.rev acc);
-        in_group ~txn ~begin_off:f.f_offset ~last_off:f.f_offset [] rest
-      | Solo_marker { txn; crc } ->
-        commit_bare (List.rev acc);
-        solo ~txn ~crc ~off:f.f_offset rest
-      | Commit _ ->
-        (* the open group ran past the damage: a record is missing *)
-        dropped := !dropped + List.length acc;
-        walk rest)
+      | Data -> walk ~last_off:f.f_offset (f :: pending) (n + 1) rest
+      | Commit { count; crc } ->
+        (if count >= 1 && count <= n then begin
+           let recs = List.rev (List.filteri (fun i _ -> i < count) pending) in
+           if group_crc (List.map (fun r -> r.f_crc) recs) = crc then begin
+             txns := recs :: !txns;
+             drop (n - count)
+           end
+           else drop n
+         end
+         else drop n);
+        walk ~last_off:f.f_offset [] 0 rest)
   in
-  walk frames;
-  let units = List.rev !units in
+  let tail, tail_records = walk ~last_off:(-1) [] 0 frames in
+  drop tail_records;
   {
-    g_units = units;
-    g_committed = List.concat_map (fun u -> u.u_frames) units;
+    g_txns = List.rev !txns;
     g_dropped_records = !dropped;
-    g_tail_records = !tail_records;
-    g_tail_begin = !tail_begin;
+    g_tail_records = tail_records;
+    g_tail_start =
+      (match List.rev tail with f :: _ -> Some f.f_offset | [] -> None);
   }
 
 let read_all path =
@@ -479,13 +343,13 @@ let read_all path =
   Ok
     (List.map
        (fun f -> f.f_payload)
-       (resolve_groups ~damage:s.scan_damage s.frames).g_committed)
+       (committed (resolve_groups ~damage:s.scan_damage s.frames)))
 
 let read_all_strict path =
   let* s = scan path in
   match s.scan_damage with
   | [] ->
-    Ok (List.map (fun f -> f.f_payload) (resolve_groups s.frames).g_committed)
+    Ok (List.map (fun f -> f.f_payload) (committed (resolve_groups s.frames)))
   | d :: _ ->
     fail
       (Corrupt

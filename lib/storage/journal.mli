@@ -1,13 +1,23 @@
 (** Append-only journal with CRC-framed, epoch-tagged records.
 
-    Record frame layout (little-endian):
-    [magic u32 | epoch u32 | payload length u32 | crc32(payload) u32 | payload].
+    Frame layout (little-endian):
+    [magic u32 | epoch u32 | payload length u32 | crc32 | payload], the
+    CRC covering the epoch, the length and the payload.
 
     The {e epoch} is the compaction epoch the record belongs to: a store
     bumps it on every successful compaction and tags the snapshot header
     with the same number, so a stale journal left behind by a crash
     mid-compaction is detected by epoch mismatch and skipped rather than
     replayed (see {!Store}).
+
+    {e One transaction encoding.} Every transaction, of one record or
+    many, is written as its data frames followed by one commit marker —
+    a frame under its own magic whose payload is the record count and a
+    CRC over the data frames' CRCs — in a single write.
+    Recovery ({!resolve_groups}) replays a transaction only when all of
+    it, commit marker included, made it to disk: a crash mid-write
+    durably persists {e none} of it. A data frame that no valid commit
+    marker closes is never replayed.
 
     Recovery reads frames until end of file. Damage (partial frame, bad
     magic, CRC mismatch) does not stop the scan: the reader records the
@@ -16,32 +26,13 @@
     mid-file frames are {e quarantined}, not fatal. Damage that reaches
     end of file is the classic torn tail, truncatable as before.
 
-    {e Transaction groups.} {!append_group} brackets a batch of records
-    between a begin marker and a commit marker (control frames under a
-    distinct magic, same CRC'd envelope). The commit marker carries the
-    record count and a CRC over the concatenated payloads, so recovery
-    ({!resolve_groups}) replays a group only when all of it — including
-    the commit — made it to disk; a crash mid-group durably persists
-    {e none} of it. A {e single}-record group skips the markers entirely
-    (a bare frame is already its own committed transaction), and a
-    sequenced single-record transaction uses one fused {e solo} marker
-    instead of a Begin/Commit pair. Bare data frames (old journals,
-    single appends) remain individually committed, so pre-group journals
-    replay unchanged.
-
-    {e Sequence tags.} Begin, Commit and solo markers carry a caller
-    supplied transaction sequence number. A partitioned store allocates
-    these from one global counter, so recovery can merge several
-    partition journals back into one total commit order
-    ({!Store}). *)
+    A journal holding frames of the retired version-3 layout (["SEE3"]
+    bare data frames, ["SEEC"] solo and begin/commit markers) is refused
+    by {!scan} rather than read, because none of its records would
+    carry a version-4 commit marker. *)
 
 type t
 (** An open journal, positioned for appending. *)
-
-val magic : int32
-
-val control_magic : int32
-(** Frame magic of transaction begin/commit/solo markers. *)
 
 type sync_policy = [ `Always_fsync | `Flush_only | `None ]
 (** Durability of {!append}:
@@ -61,35 +52,22 @@ val open_ :
     follows [sync] (default [`Flush_only]). *)
 
 val append : t -> string -> (unit, Seed_util.Seed_error.t) result
-(** Appends one record, with the durability of the journal's
-    {!sync_policy}. A bare record is its own committed transaction. *)
+(** Appends one record as a one-record transaction, with the durability
+    of the journal's {!sync_policy}. *)
 
-val append_group :
-  ?seq:int -> t -> string list -> (unit, Seed_util.Seed_error.t) result
-(** Appends the records as one atomic transaction group —
-    [begin marker; records…; commit marker] — in a single write (and,
-    under [`Always_fsync], a single fsync), so recovery sees either all
-    of them or none. The markers carry [seq] (default: a per-journal
-    counter). An empty list is a no-op; a singleton list is appended as
-    a bare frame (same atomicity, no marker overhead, no sequence
-    tag). *)
+val append_group : t -> string list -> (unit, Seed_util.Seed_error.t) result
+(** Appends the records as one atomic transaction — [records…; commit
+    marker] — in a single write (and, under [`Always_fsync], a single
+    fsync), so recovery sees either all of them or none. An empty list
+    is a no-op. *)
 
-type entry =
-  | Bare of string
-      (** one record, individually committed, no sequence tag *)
-  | Solo of { seq : int; payload : string }
-      (** one record under a fused solo marker: atomic (trivially) and
-          sequenced for cross-partition merge *)
-  | Group of { seq : int; payloads : string list }
-      (** an all-or-nothing multi-record group under Begin/Commit
-          markers carrying [seq] *)
-
-val append_entries : t -> entry list -> (unit, Seed_util.Seed_error.t) result
+val append_batch :
+  t -> string list list -> (unit, Seed_util.Seed_error.t) result
 (** Appends a batch of independent transactions in {e one} physical
     write (and, under [`Always_fsync], one fsync) — the group-commit
-    coalescing primitive used by {!Commit_daemon}. Each entry keeps its
-    own atomicity: a crash mid-batch leaves every entry either whole or
-    invisible to recovery. *)
+    coalescing primitive used by {!Commit_daemon}. Each transaction
+    keeps its own atomicity: a crash mid-batch leaves every one either
+    whole or invisible to recovery. Empty transactions are skipped. *)
 
 val sync : t -> (unit, Seed_util.Seed_error.t) result
 (** Writes any buffered records and fsyncs the journal file. *)
@@ -107,17 +85,15 @@ val sync_policy : t -> sync_policy
 
 type kind =
   | Data  (** an ordinary record *)
-  | Begin of { txn : int }  (** opens a transaction group *)
-  | Commit of { txn : int; count : int; crc : int32 }
-      (** closes a group: [count] records, [crc] over their
-          concatenated payloads *)
-  | Solo_marker of { txn : int; crc : int32 }
-      (** fused begin+commit for the single data frame that follows *)
+  | Commit of { count : int; crc : int32 }
+      (** closes a transaction: its last [count] data frames, [crc] over
+          their frame CRCs *)
 
 type frame = {
   f_epoch : int;  (** compaction epoch the record was appended under *)
   f_payload : string;
   f_offset : int;  (** byte offset of the frame's header in the file *)
+  f_crc : int32;  (** the frame's CRC, as verified by {!scan} *)
   f_kind : kind;
 }
 
@@ -139,8 +115,9 @@ type scan_result = {
 val scan : ?io:Io.t -> string -> (scan_result, Seed_util.Seed_error.t) result
 (** Reads every intact frame of the journal at [path], skipping over
     damaged regions by magic/CRC resynchronization. A missing file
-    yields an empty, undamaged result. Only I/O failures are errors —
-    damage is data, reported in the result. *)
+    yields an empty, undamaged result. Damage is data, reported in the
+    result; the errors are I/O failures and a journal in the retired
+    version-3 layout ([Corrupt], naming that layout). *)
 
 val tail_damage : scan_result -> damage option
 (** The damaged region reaching end of file, if any — a torn tail that
@@ -151,46 +128,30 @@ val quarantined : scan_result -> damage list
     skipped during replay and left in place, pending {!Store.fsck}
     [~repair] rewriting the journal. *)
 
-val max_seq : frame list -> int
-(** The largest transaction sequence number carried by any marker in
-    [frames] (0 when there are none) — used to re-seed the global
-    sequence counter on open. *)
-
-type unit_ = {
-  u_seq : int option;
-      (** the transaction's sequence tag; [None] for bare records *)
-  u_frames : frame list;  (** the transaction's data frames, in order *)
-}
-(** One committed transaction: a bare record, a solo record, or a whole
-    group. The unit is the granularity at which partition journals are
-    merged back into a total order. *)
-
 type groups = {
-  g_units : unit_ list;
-      (** committed transactions in append order — the merge input *)
-  g_committed : frame list;
-      (** data frames safe to replay, in append order: bare records plus
-          the records of every properly committed group (the
-          concatenation of [g_units]) *)
+  g_txns : frame list list;
+      (** committed transactions in append order, each its data frames *)
   g_dropped_records : int;
-      (** data records discarded because their group never committed (or
-          its commit marker's count/CRC did not match) *)
+      (** data records discarded because no valid commit marker closed
+          them: a missing marker, or one whose count/CRC did not match *)
   g_tail_records : int;
-      (** of the dropped records, how many sit in an unterminated group
-          at the very end of the frame list *)
-  g_tail_begin : int option;
-      (** offset of that unterminated tail group's begin (or dangling
-          solo) marker — the natural truncation point *)
+      (** of the dropped records, how many sit after the last commit
+          marker, at the very end of the frame list *)
+  g_tail_start : int option;
+      (** offset of the first of those tail records — the natural
+          truncation point *)
 }
+
+val committed : groups -> frame list
+(** The data frames safe to replay, in append order. *)
 
 val resolve_groups : ?damage:damage list -> frame list -> groups
-(** Resolves transaction groups over {!scan}'s intact frames. A
-    [damage] region falling inside an open group is a barrier: the
-    group's records before it are dropped, and the frames after it are
-    decided by the next marker — a [Commit] drops them too (the group
-    ran past the damage, so a record is missing), while a [Begin], a
-    solo marker or the end of the journal replays them as independent
-    appends (the damage ate the commit marker, not a record). *)
+(** Resolves transactions over {!scan}'s intact frames. A commit marker
+    for [count] records commits the last [count] data frames before it
+    when their frame CRCs match its CRC; earlier uncommitted frames are
+    orphans and are dropped. A [damage] region between two frames is a
+    barrier no transaction spans: the data frames before it that are
+    still waiting for their commit marker are dropped. *)
 
 val read_all : string -> (string list, Seed_util.Seed_error.t) result
 (** Committed payloads of {!scan}'s intact prefix, epoch-agnostic.

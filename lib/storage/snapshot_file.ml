@@ -3,6 +3,11 @@ open Seed_error
 
 let header_bytes = 16
 
+(* "SEE3": the snapshot header magic. It is the journal's retired
+   version-3 frame magic, kept here so snapshots written before the
+   journal moved to its version-4 layout still load. *)
+let magic = 0x53454533l
+
 let wrap_io = Seed_error.wrap_io
 
 let write ?(io = Io.real) path ~epoch payload =
@@ -18,7 +23,7 @@ let write ?(io = Io.real) path ~epoch payload =
       ~finally:(fun () -> f.Io.close ())
       (fun () ->
         let b = Buffer.create (String.length payload + header_bytes) in
-        Buffer.add_int32_le b Journal.magic;
+        Buffer.add_int32_le b magic;
         Buffer.add_int32_le b (Int32.of_int epoch);
         Buffer.add_int32_le b (Int32.of_int (String.length payload));
         Buffer.add_int32_le b (Crc32.digest payload);
@@ -45,7 +50,7 @@ let read ?(io = Io.real) path =
       let epoch = Int32.to_int (String.get_int32_le contents 4) in
       let len = Int32.to_int (String.get_int32_le contents 8) in
       let crc = String.get_int32_le contents 12 in
-      if m <> Journal.magic then
+      if m <> magic then
         fail (Corrupt ("snapshot " ^ path ^ ": bad magic"))
       else if epoch < 0 then
         fail (Corrupt ("snapshot " ^ path ^ ": negative epoch"))

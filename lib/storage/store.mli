@@ -7,9 +7,15 @@
     [snapshot.bin.old] while the previous one is still mid-promotion.
     The client supplies a pure fold over its own state: opening a store
     loads the snapshot (if any) and replays the journal records appended
-    since; {!append} adds a record; {!compact} writes a fresh snapshot
-    and truncates the journal. All payloads are opaque strings —
+    since; {!append_group} adds a transaction; {!compact} writes a fresh
+    snapshot and truncates the journal. All payloads are opaque strings —
     {!Seed_core.Persist} owns the encoding.
+
+    {b Write path.} One journal, one group-commit daemon
+    ({!Commit_daemon}): concurrently arriving transactions coalesce into
+    one physical write and one fsync. Each transaction is handed to the
+    daemon as its list of record payloads; only {!Journal} knows the
+    frame layout.
 
     {b Crash consistency.} Every compaction bumps a monotonically
     increasing {e epoch}, stamped on the snapshot header and on every
@@ -41,32 +47,14 @@ type t
 type sync_policy = Journal.sync_policy
 (** Durability of {!append}; see {!Journal.sync_policy}. *)
 
-(** {2 Partitioned write path}
-
-    A store holds one or more journal {e partitions}: partition 0 is
-    the legacy [journal.log], partitions 1..N-1 are [journal.p1..].
-    Each partition has its own group-commit daemon
-    ({!Commit_daemon}) — concurrently arriving transaction groups on
-    the same partition coalesce into one physical write and one fsync;
-    groups on different partitions proceed in parallel, each on its own
-    fsync stream. A transaction group goes {e whole} to one partition
-    (chosen by hashing the caller's routing [key]), so §9 all-or-nothing
-    semantics stay partition-local. Every group's commit marker carries
-    a sequence tag from one store-global counter; on open, the partition
-    journals are each recovered independently and then merged by tag
-    into one total replay order. The partition count is write-side
-    configuration ({!open_dir}'s [partitions]) but read-side probed: a
-    store written with 4 partitions reopens with 4 even under the
-    default. *)
-
 type recovery = {
   records_replayed : int;  (** journal records handed back to the client *)
   bytes_dropped : int;
       (** journal bytes discarded: a torn tail, an uncommitted
-          transaction group, a stale journal and/or epoch-ahead
+          transaction, a stale journal and/or epoch-ahead
           leftovers *)
   txn_dropped : int;
-      (** records discarded because their transaction group never
+      (** records discarded because their transaction never
           committed — the all-or-nothing contract of
           {!Journal.append_group} *)
   torn_tail : string option;
@@ -88,9 +76,6 @@ type recovery = {
   io_retries : int;
       (** transient I/O errors absorbed by retry during open *)
   epoch : int;  (** the store's compaction epoch after open *)
-  partitions_merged : int;
-      (** journal partitions recovered and merged into the replay (1
-          for a legacy single-journal store) *)
 }
 
 val recovery_clean : recovery -> bool
@@ -103,7 +88,6 @@ val open_dir :
   ?io:Io.t ->
   ?sync:sync_policy ->
   ?generations:int ->
-  ?partitions:int ->
   ?retry:Seed_util.Retry.policy ->
   ?sleep:(float -> unit) ->
   string ->
@@ -114,41 +98,32 @@ val open_dir :
     needed to rebuild the client state, plus what recovery had to do to
     get there. [sync] (default [`Flush_only]) governs {!append};
     [generations] (default 2) how many old snapshots {!compact} keeps;
-    [partitions] (default 1) how many journal partitions to write to
-    (grown, never shrunk, by what is found on disk);
     [retry]/[sleep] the transient-fault retry policy and its clock.
-    The replayed records are the merged total order across all
-    partitions. *)
+    The journal is read before anything on disk changes: a journal in
+    the retired version-3 frame layout is refused ([Corrupt]) with the
+    store left byte for byte as it was. *)
 
-val append : ?key:string -> t -> string -> (unit, Seed_util.Seed_error.t) result
-(** Appends a journal record with the store's {!sync_policy}, through
-    the routed partition's group-commit daemon (concurrent appends
-    coalesce into shared fsyncs). A bare record is its own committed
-    transaction. Transient I/O errors are retried; a half-written first
+val append : t -> string -> (unit, Seed_util.Seed_error.t) result
+(** [append t r] is [append_group t [r]]: a one-record transaction. *)
+
+val append_group : t -> string list -> (unit, Seed_util.Seed_error.t) result
+(** Appends the records as one atomic transaction with the store's
+    {!sync_policy}, through the group-commit daemon (concurrent
+    transactions coalesce into shared writes and fsyncs): recovery
+    replays either all of them or none, never a prefix. An empty list
+    is a no-op. Transient I/O errors are retried; a half-written first
     attempt is quarantined by the scanner and resynchronized over on
-    recovery, so the retry cannot corrupt. *)
-
-val append_group :
-  ?key:string -> t -> string list -> (unit, Seed_util.Seed_error.t) result
-(** Appends the records as one atomic transaction group: recovery
-    replays either all of them or none, never a prefix. The group goes
-    whole to the partition routed by [key]; callers whose groups can
-    conflict must use the same key (the server routes by root-object
-    id, which its lock table serializes on). An empty list is a no-op;
-    a singleton takes the marker-free bare/solo fast path. See
+    recovery, so the retry cannot corrupt. See
     {!Journal.append_group}. *)
 
 val sync : t -> (unit, Seed_util.Seed_error.t) result
-(** Makes every appended record durable (fsync on every partition
-    journal, daemons quiesced around it). *)
-
-val partitions : t -> int
-(** How many journal partitions the store is writing to. *)
+(** Makes every appended record durable (fsync of the journal, the
+    daemon quiesced around it). *)
 
 val write_stats : t -> (int * Commit_daemon.stats) list
-(** Per-partition group-commit counters (partition index, daemon
-    stats): transactions submitted, physical batches, fsyncs, largest
-    coalesced batch, queue high-water. Aggregate with
+(** The group-commit counters as one [(0, stats)] element: transactions
+    submitted, physical batches, fsyncs, largest coalesced batch, queue
+    high-water. The list shape lets callers fold with
     {!Commit_daemon.add_stats}. *)
 
 val compact : t -> snapshot:string -> (unit, Seed_util.Seed_error.t) result
@@ -181,33 +156,15 @@ type file_status =
   | Intact of { epoch : int; bytes : int }
   | Damaged of string
 
-type journal_health = {
-  jh_frames : int;  (** committed data frames of the reference epoch *)
-  jh_epoch : int option;  (** epoch of the partition's frames *)
-  jh_torn_bytes : int;  (** bytes of damage reaching end of file *)
-  jh_torn_reason : string option;
-  jh_quarantined_regions : int;
-  jh_quarantined_bytes : int;
-  jh_stale : bool;  (** frames predating the snapshot's epoch *)
-  jh_ahead : bool;  (** frames newer than the snapshot's epoch *)
-  jh_dangling_records : int;
-  jh_dangling_tail : bool;
-  jh_healthy : bool;
-}
-(** Health of one journal partition — damage in one partition never
-    taints another ([--repair] is partition-local too). *)
-
 type fsck_report = {
   fsck_snapshot : file_status;
   fsck_fallback : file_status;  (** [snapshot.bin.old] *)
   fsck_generations : (int * file_status) list;
       (** generation slots present on disk ([snapshot.bin.k]) *)
   fsck_tmp_leftover : bool;  (** [snapshot.bin.tmp] exists *)
-  fsck_partitions : (int * journal_health) list;
-      (** per-partition journal health, partition 0 first *)
   fsck_journal_frames : int;
-      (** intact frames of the current epoch, all partitions *)
-  fsck_journal_epoch : int option;  (** epoch of the journals' frames *)
+      (** committed data frames of the snapshot's epoch *)
+  fsck_journal_epoch : int option;  (** epoch of the journal's first frame *)
   fsck_torn_bytes : int;  (** bytes of damage reaching end of file *)
   fsck_torn_reason : string option;
   fsck_quarantined_regions : int;
@@ -216,23 +173,21 @@ type fsck_report = {
   fsck_quarantined_bytes : int;
   fsck_stale_journal : bool;  (** journal epoch predates the snapshot *)
   fsck_dangling_txn_records : int;
-      (** records of transaction groups that never committed — invisible
-          to replay, removed by [--repair] *)
+      (** records of transactions that never committed — invisible to
+          replay, removed by [--repair] *)
   fsck_dangling_txn_tail : bool;
-      (** a journal ends inside an unterminated group (the classic
-          crash-mid-flush signature) *)
+      (** the journal ends inside an unterminated transaction (the
+          classic crash-mid-flush signature) *)
   fsck_healthy : bool;
   fsck_repairs : string list;  (** actions taken (with [~repair:true]) *)
 }
-(** The journal-level aggregate fields sum (or OR) over
-    {!fsck_partitions}. *)
 
 val fsck :
   ?io:Io.t -> ?repair:bool -> string ->
   (fsck_report, Seed_util.Seed_error.t) result
 (** Reports the health of the store at [dir] without opening it for
     appending. With [repair]: truncates a torn tail, a stale journal or
-    a dangling (uncommitted) transaction group, rewrites the journal to
+    a dangling (uncommitted) transaction, rewrites the journal to
     excise quarantined mid-file damage, removes leftover temporaries and
     damaged generations, promotes [snapshot.bin.old] — or, failing that,
     the newest intact generation — when [snapshot.bin] is missing or

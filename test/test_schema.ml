@@ -309,78 +309,6 @@ let test_participation_constraints () =
   Alcotest.(check bool) "Contained both ends" true
     (List.mem ("Contained", 0) for_action && List.mem ("Contained", 1) for_action)
 
-(* ------------------------------------------------------------------ *)
-(* Schema diff                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let mini_schema ?(text_max = 16) ?(with_keywords = false) () =
-  let classes =
-    [
-      Class_def.v [ "Data" ];
-      Class_def.v ~card:(Cardinality.between 0 text_max) [ "Data"; "Text" ];
-    ]
-    @
-    if with_keywords then
-      [
-        Class_def.v ~card:Cardinality.any ~content:Value_type.String
-          [ "Data"; "Keywords" ];
-      ]
-    else []
-  in
-  Schema.of_defs_exn classes []
-
-let test_diff_add_compatible () =
-  let old_ = mini_schema () and new_ = mini_schema ~with_keywords:true () in
-  let changes = Schema_diff.diff old_ new_ in
-  Alcotest.(check int) "one change" 1 (List.length changes);
-  Alcotest.(check bool) "compatible" true (Schema_diff.compatible old_ new_)
-
-let test_diff_remove_incompatible () =
-  let old_ = mini_schema ~with_keywords:true () and new_ = mini_schema () in
-  Alcotest.(check bool) "incompatible" false (Schema_diff.compatible old_ new_)
-
-let test_diff_max_relax_compatible () =
-  let old_ = mini_schema ~text_max:16 () and new_ = mini_schema ~text_max:32 () in
-  Alcotest.(check bool) "relax" true (Schema_diff.compatible old_ new_);
-  Alcotest.(check bool) "tighten" false (Schema_diff.compatible new_ old_)
-
-let test_diff_min_changes_are_compatible () =
-  let mk min =
-    Schema.of_defs_exn
-      [
-        Class_def.v [ "Data" ];
-        Class_def.v ~card:(Cardinality.make min (Some 5)) [ "Data"; "Text" ];
-      ]
-      []
-  in
-  Alcotest.(check bool) "raise min" true (Schema_diff.compatible (mk 0) (mk 2));
-  Alcotest.(check bool) "lower min" true (Schema_diff.compatible (mk 2) (mk 0))
-
-let test_diff_empty () =
-  let s = fig3_schema () in
-  Alcotest.(check int) "no changes" 0 (List.length (Schema_diff.diff s s))
-
-let test_diff_assoc_changes () =
-  let mk acyclic =
-    Schema.of_defs_exn
-      [ Class_def.v [ "A" ] ]
-      [
-        Assoc_def.v ~acyclic "T"
-          [ Assoc_def.role ~card:Cardinality.opt "x" "A"; Assoc_def.role "y" "A" ];
-      ]
-  in
-  Alcotest.(check bool) "impose" false (Schema_diff.compatible (mk false) (mk true));
-  Alcotest.(check bool) "drop" true (Schema_diff.compatible (mk true) (mk false))
-
-let test_diff_printing () =
-  let old_ = mini_schema ()
-  and new_ = mini_schema ~with_keywords:true ~text_max:32 () in
-  List.iter
-    (fun c ->
-      Alcotest.(check bool) "printable" true
-        (String.length (Fmt.str "%a" Schema_diff.pp_change c) > 0))
-    (Schema_diff.diff old_ new_)
-
 let () =
   Alcotest.run "schema"
     [
@@ -428,15 +356,5 @@ let () =
           tc "resolve child" test_resolve_child;
           tc "effective children" test_effective_children;
           tc "participation constraints" test_participation_constraints;
-        ] );
-      ( "diff",
-        [
-          tc "addition compatible" test_diff_add_compatible;
-          tc "removal incompatible" test_diff_remove_incompatible;
-          tc "max relaxation" test_diff_max_relax_compatible;
-          tc "min changes compatible" test_diff_min_changes_are_compatible;
-          tc "identity" test_diff_empty;
-          tc "assoc changes" test_diff_assoc_changes;
-          tc "printing" test_diff_printing;
         ] );
     ]

@@ -13,6 +13,11 @@ let tmp_dir =
     if Sys.file_exists dir then () else Unix.mkdir dir 0o755;
     dir
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  at 0
+
 (* ------------------------------------------------------------------ *)
 (* CRC-32                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -117,108 +122,15 @@ let prop_codec_float =
       Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g))
 
 (* ------------------------------------------------------------------ *)
-(* B-tree                                                               *)
-(* ------------------------------------------------------------------ *)
-
-module BT = Btree.Make (Int)
-module IM = Map.Make (Int)
-
-let test_btree_basic () =
-  let t = BT.create () in
-  Alcotest.(check bool) "empty" true (BT.is_empty t);
-  BT.insert t 1 "a";
-  BT.insert t 2 "b";
-  BT.insert t 1 "a2";
-  Alcotest.(check int) "length counts replace once" 2 (BT.length t);
-  Alcotest.(check (option string)) "find" (Some "a2") (BT.find t 1);
-  Alcotest.(check bool) "mem" true (BT.mem t 2);
-  Alcotest.(check bool) "remove" true (BT.remove t 1);
-  Alcotest.(check bool) "remove gone" false (BT.remove t 1);
-  Alcotest.(check int) "length" 1 (BT.length t)
-
-let test_btree_ordered_iteration () =
-  let t = BT.create () in
-  let keys = [ 5; 3; 9; 1; 7; 2; 8; 4; 6; 0 ] in
-  List.iter (fun k -> BT.insert t k (string_of_int k)) keys;
-  let collected = List.map fst (BT.to_list t) in
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] collected;
-  Alcotest.(check (option (pair int string))) "min" (Some (0, "0")) (BT.min_binding t);
-  Alcotest.(check (option (pair int string))) "max" (Some (9, "9")) (BT.max_binding t)
-
-let test_btree_large_sequential () =
-  let t = BT.create () in
-  for i = 1 to 5000 do
-    BT.insert t i i
-  done;
-  Alcotest.(check int) "length" 5000 (BT.length t);
-  Alcotest.(check bool) "invariants" true (BT.invariants_ok t);
-  for i = 1 to 5000 do
-    if BT.find t i <> Some i then Alcotest.failf "missing %d" i
-  done;
-  (* delete odd keys *)
-  for i = 1 to 5000 do
-    if i mod 2 = 1 then ignore (BT.remove t i)
-  done;
-  Alcotest.(check int) "half left" 2500 (BT.length t);
-  Alcotest.(check bool) "invariants after delete" true (BT.invariants_ok t);
-  Alcotest.(check (option int)) "odd gone" None (BT.find t 4999);
-  Alcotest.(check (option int)) "even kept" (Some 4998) (BT.find t 4998)
-
-let test_btree_range () =
-  let t = BT.create () in
-  for i = 0 to 99 do
-    BT.insert t i (i * 10)
-  done;
-  let seen = ref [] in
-  BT.iter_range ~lo:10 ~hi:15 (fun k _ -> seen := k :: !seen) t;
-  Alcotest.(check (list int)) "range" [ 10; 11; 12; 13; 14; 15 ] (List.rev !seen);
-  let seen = ref [] in
-  BT.iter_range ~hi:2 (fun k _ -> seen := k :: !seen) t;
-  Alcotest.(check (list int)) "open lo" [ 0; 1; 2 ] (List.rev !seen);
-  let seen = ref [] in
-  BT.iter_range ~lo:97 (fun k _ -> seen := k :: !seen) t;
-  Alcotest.(check (list int)) "open hi" [ 97; 98; 99 ] (List.rev !seen)
-
-let btree_ops_gen =
-  QCheck2.Gen.(
-    list_size (int_range 0 400)
-      (oneof
-         [
-           map (fun k -> `Insert k) (int_range 0 100);
-           map (fun k -> `Remove k) (int_range 0 100);
-         ]))
-
-let prop_btree_vs_map =
-  qcheck_case ~count:300 "btree agrees with Map" btree_ops_gen (fun ops ->
-      let t = BT.create () in
-      let m = ref IM.empty in
-      List.iter
-        (function
-          | `Insert k ->
-            BT.insert t k k;
-            m := IM.add k k !m
-          | `Remove k ->
-            ignore (BT.remove t k);
-            m := IM.remove k !m)
-        ops;
-      BT.invariants_ok t
-      && BT.length t = IM.cardinal !m
-      && List.for_all2
-           (fun (k1, v1) (k2, v2) -> k1 = k2 && v1 = v2)
-           (BT.to_list t) (IM.bindings !m))
-
-let prop_btree_fold =
-  qcheck_case "fold visits ascending"
-    QCheck2.Gen.(list_size (int_range 0 200) (int_range 0 1000))
-    (fun keys ->
-      let t = BT.create () in
-      List.iter (fun k -> BT.insert t k ()) keys;
-      let collected = List.rev (BT.fold (fun k () acc -> k :: acc) t []) in
-      collected = List.sort_uniq Int.compare keys)
-
-(* ------------------------------------------------------------------ *)
 (* Journal                                                              *)
 (* ------------------------------------------------------------------ *)
+
+(* Every transaction is its data frames plus one commit marker: a frame
+   header (16) + commit payload [count u32 | group crc u32]. *)
+let commit_frame_bytes = 16 + 8
+
+(* bytes of a one-record transaction carrying [payload] *)
+let txn_bytes payload = 16 + String.length payload + commit_frame_bytes
 
 let test_journal_roundtrip () =
   let dir = tmp_dir () in
@@ -267,7 +179,7 @@ let test_journal_corrupt_payload () =
   Journal.close j;
   (* flip a byte inside the second record's payload *)
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
-  let first_record = 16 + 5 in
+  let first_record = txn_bytes "alpha" in
   ignore (Unix.lseek fd (first_record + 16 + 1) Unix.SEEK_SET);
   ignore (Unix.write fd (Bytes.of_string "X") 0 1);
   Unix.close fd;
@@ -286,43 +198,80 @@ let test_journal_truncate () =
 (* Transaction groups                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* header (16) + commit payload [kind u8 | txn u32 | count u32 | crc u32] *)
-let commit_frame_bytes = 16 + 13
-
 let kind_label = function
   | Journal.Data -> "data"
-  | Journal.Begin _ -> "begin"
   | Journal.Commit _ -> "commit"
-  | Journal.Solo_marker _ -> "solo"
 
 let test_group_roundtrip () =
   let dir = tmp_dir () in
   let path = Filename.concat dir "j.log" in
   let j = ok (Journal.open_ path) in
-  check_ok "bare" (Journal.append j "solo");
+  check_ok "single" (Journal.append j "solo");
   check_ok "group" (Journal.append_group j [ "g1"; "g2"; "g3" ]);
   check_ok "empty group is a no-op" (Journal.append_group j []);
-  check_ok "bare after" (Journal.append j "tail");
+  check_ok "single after" (Journal.append j "tail");
   Journal.close j;
   Alcotest.(check (list string)) "committed records, in order"
     [ "solo"; "g1"; "g2"; "g3"; "tail" ]
     (ok (Journal.read_all path));
-  (* the markers are visible to scan as control frames bracketing the
-     group's data frames *)
+  (* one encoding for every transaction: its data frames, then a commit
+     marker *)
   let s = ok (Journal.scan path) in
   Alcotest.(check (list string)) "frame kinds"
-    [ "data"; "begin"; "data"; "data"; "data"; "commit"; "data" ]
+    [ "data"; "commit"; "data"; "data"; "data"; "commit"; "data"; "commit" ]
     (List.map (fun f -> kind_label f.Journal.f_kind) s.Journal.frames);
   Alcotest.(check bool) "no damage" true (s.Journal.scan_damage = [])
 
-let test_group_without_commit_invisible () =
-  (* the crash-mid-flush signature: the begin marker and the records
-     landed, the commit marker did not — recovery replays none of the
-     group, and the whole thing is truncatable at the begin marker *)
+let test_one_record_roundtrip () =
   let dir = tmp_dir () in
   let path = Filename.concat dir "j.log" in
   let j = ok (Journal.open_ path) in
-  check_ok "bare" (Journal.append j "keep");
+  check_ok "one" (Journal.append_group j [ "only" ]);
+  Journal.close j;
+  Alcotest.(check int) "data frame + commit marker" (txn_bytes "only")
+    (Unix.stat path).Unix.st_size;
+  let s = ok (Journal.scan path) in
+  (match List.map (fun f -> f.Journal.f_kind) s.Journal.frames with
+  | [ Journal.Data; Journal.Commit { count; _ } ] ->
+    Alcotest.(check int) "marker counts one record" 1 count
+  | _ -> Alcotest.fail "expected one data frame and its commit marker");
+  let g = Journal.resolve_groups s.Journal.frames in
+  Alcotest.(check int) "one transaction" 1 (List.length g.Journal.g_txns);
+  Alcotest.(check (list string)) "round-trips" [ "only" ]
+    (ok (Journal.read_all_strict path))
+
+let test_one_record_cut_sweep () =
+  (* a crash can cut the file at any byte of the write: every cut
+     inside the one-record transaction loses all of it, and only the
+     whole transaction replays *)
+  let dir = tmp_dir () in
+  let path = Filename.concat dir "j.log" in
+  let j = ok (Journal.open_ path) in
+  check_ok "before" (Journal.append j "keep");
+  check_ok "one" (Journal.append j "atomic");
+  Journal.close j;
+  let full = (Unix.stat path).Unix.st_size in
+  let start = txn_bytes "keep" in
+  let bytes = In_channel.with_open_bin path In_channel.input_all in
+  let cut = Filename.concat dir "cut.log" in
+  for len = start to full do
+    Out_channel.with_open_bin cut (fun oc ->
+        Out_channel.output_string oc (String.sub bytes 0 len));
+    let expect = if len = full then [ "keep"; "atomic" ] else [ "keep" ] in
+    Alcotest.(check (list string))
+      (Printf.sprintf "cut at %d of %d" len full)
+      expect
+      (ok (Journal.read_all cut))
+  done
+
+let test_group_without_commit_invisible () =
+  (* the crash-mid-flush signature: the records landed, the commit
+     marker did not — recovery replays none of the transaction, and
+     the whole thing is truncatable where its first record starts *)
+  let dir = tmp_dir () in
+  let path = Filename.concat dir "j.log" in
+  let j = ok (Journal.open_ path) in
+  check_ok "single" (Journal.append j "keep");
   check_ok "group" (Journal.append_group j [ "lost1"; "lost2" ]);
   Journal.close j;
   let size = (Unix.stat path).Unix.st_size in
@@ -337,9 +286,9 @@ let test_group_without_commit_invisible () =
   let g = Journal.resolve_groups s.Journal.frames in
   Alcotest.(check int) "both records dropped" 2 g.Journal.g_dropped_records;
   Alcotest.(check int) "as an unterminated tail" 2 g.Journal.g_tail_records;
-  Alcotest.(check (option int)) "truncation point = begin marker"
-    (Some (16 + 4)) (* right after the bare "keep" frame *)
-    g.Journal.g_tail_begin
+  Alcotest.(check (option int)) "truncation point = first uncommitted record"
+    (Some (txn_bytes "keep")) (* right after the "keep" transaction *)
+    g.Journal.g_tail_start
 
 let test_group_torn_commit_marker () =
   (* the commit marker itself is half-written: CRC framing rejects the
@@ -347,7 +296,7 @@ let test_group_torn_commit_marker () =
   let dir = tmp_dir () in
   let path = Filename.concat dir "j.log" in
   let j = ok (Journal.open_ path) in
-  check_ok "bare" (Journal.append j "keep");
+  check_ok "single" (Journal.append j "keep");
   check_ok "group" (Journal.append_group j [ "lost1"; "lost2" ]);
   Journal.close j;
   let size = (Unix.stat path).Unix.st_size in
@@ -360,10 +309,43 @@ let test_group_torn_commit_marker () =
   let g = Journal.resolve_groups s.Journal.frames in
   Alcotest.(check int) "group dropped" 2 g.Journal.g_dropped_records
 
-let test_nested_begin_drops_open_group () =
-  (* a writer that continued into a journal holding an unterminated
-     group (crash, then append without healing): the stale open group
-     must not leak into replay, and it is not a truncatable tail *)
+let test_damaged_commit_marker () =
+  (* a bit flip mid-file in one transaction's commit marker: that
+     transaction drops, its neighbours on both sides replay *)
+  let dir = tmp_dir () in
+  let path = Filename.concat dir "j.log" in
+  let j = ok (Journal.open_ path) in
+  check_ok "a" (Journal.append_group j [ "a1"; "a2" ]);
+  check_ok "b" (Journal.append_group j [ "b1"; "b2" ]);
+  check_ok "c" (Journal.append j "c1");
+  Journal.close j;
+  let s = ok (Journal.scan path) in
+  let marker =
+    List.find
+      (fun f -> match f.Journal.f_kind with Journal.Commit _ -> true | _ -> false)
+      s.Journal.frames
+  in
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+  ignore (Unix.lseek fd (marker.Journal.f_offset + 16) Unix.SEEK_SET);
+  ignore (Unix.write fd (Bytes.of_string "\xff") 0 1);
+  Unix.close fd;
+  Alcotest.(check (list string)) "only its own group drops"
+    [ "b1"; "b2"; "c1" ]
+    (ok (Journal.read_all path));
+  let s = ok (Journal.scan path) in
+  Alcotest.(check int) "marker quarantined" 1
+    (List.length (Journal.quarantined s));
+  let g =
+    Journal.resolve_groups ~damage:(Journal.quarantined s) s.Journal.frames
+  in
+  Alcotest.(check int) "two records dropped" 2 g.Journal.g_dropped_records;
+  Alcotest.(check int) "not a tail" 0 g.Journal.g_tail_records
+
+let test_orphans_before_valid_group () =
+  (* a writer that continued into a journal holding an uncommitted
+     transaction (crash, then append without healing): the orphaned
+     records must not leak into replay, and they are not a truncatable
+     tail *)
   let dir = tmp_dir () in
   let path = Filename.concat dir "j.log" in
   let j = ok (Journal.open_ path) in
@@ -378,10 +360,55 @@ let test_nested_begin_drops_open_group () =
     (ok (Journal.read_all path));
   let s = ok (Journal.scan path) in
   let g = Journal.resolve_groups s.Journal.frames in
-  Alcotest.(check int) "stale group dropped" 2 g.Journal.g_dropped_records;
+  Alcotest.(check int) "orphans dropped" 2 g.Journal.g_dropped_records;
   Alcotest.(check int) "not a tail" 0 g.Journal.g_tail_records;
   Alcotest.(check (option int)) "no truncation point" None
-    g.Journal.g_tail_begin
+    g.Journal.g_tail_start
+
+(* A frame of the retired version-3 layout: same envelope, magic "SEE3"
+   for data and "SEEC" for markers. *)
+let v3_frame ~magic ~epoch payload =
+  let h = Buffer.create 8 in
+  Buffer.add_int32_le h (Int32.of_int epoch);
+  Buffer.add_int32_le h (Int32.of_int (String.length payload));
+  let b = Buffer.create 64 in
+  Buffer.add_int32_le b magic;
+  Buffer.add_buffer b h;
+  Buffer.add_int32_le b (Crc32.digest (Buffer.contents h ^ payload));
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+let dir_bytes dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f ->
+         (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+
+let test_v3_journal_refused () =
+  let dir = tmp_dir () in
+  let store, _, _, _ = ok (Store.open_dir dir) in
+  check_ok "snapshot" (Store.compact store ~snapshot:"state");
+  let epoch = Store.epoch store in
+  Store.close store;
+  (* a bare record, then a solo-marked one: [kind 2 | txn | crc] *)
+  let solo = Bytes.create 9 in
+  Bytes.set_uint8 solo 0 2;
+  Bytes.set_int32_le solo 1 1l;
+  Bytes.set_int32_le solo 5 (Crc32.digest "second");
+  Out_channel.with_open_bin (Filename.concat dir "journal.log") (fun oc ->
+      Out_channel.output_string oc
+        (v3_frame ~magic:0x53454533l ~epoch "first"
+        ^ v3_frame ~magic:0x53454543l ~epoch (Bytes.to_string solo)
+        ^ v3_frame ~magic:0x53454533l ~epoch "second"));
+  let before = dir_bytes dir in
+  let names_old_format = function
+    | Seed_util.Seed_error.Corrupt m -> contains m "SEE3"
+    | _ -> false
+  in
+  check_err "open refuses" names_old_format (Store.open_dir dir);
+  check_err "fsck refuses" names_old_format (Store.fsck dir);
+  check_err "repair refuses" names_old_format (Store.fsck ~repair:true dir);
+  Alcotest.(check (list (pair string string))) "no byte of the store changed"
+    before (dir_bytes dir)
 
 let test_store_group_recovery () =
   let dir = tmp_dir () in
@@ -529,7 +556,8 @@ let test_journal_epoch_tagging () =
   check_ok "a" (Journal.append j "alpha");
   Journal.close j;
   let s = ok (Journal.scan path) in
-  Alcotest.(check (list int)) "epochs" [ 7 ]
+  (* the record and its commit marker both carry the epoch *)
+  Alcotest.(check (list int)) "epochs" [ 7; 7 ]
     (List.map (fun f -> f.Journal.f_epoch) s.Journal.frames);
   Alcotest.(check bool) "no damage" true (s.Journal.scan_damage = [])
 
@@ -579,18 +607,18 @@ let test_torn_tail_truncated_on_open () =
   check_ok "r2" (Store.append store "r2");
   Store.close store;
   let jpath = Filename.concat dir "journal.log" in
-  let intact = (16 + 2) * 2 in
+  let intact = txn_bytes "r1" * 2 in
   let size = (Unix.stat jpath).Unix.st_size in
   Alcotest.(check int) "frame math" intact size;
-  (* cut the second frame in half *)
-  Unix.truncate jpath (size - 9);
+  (* cut the second data frame in half (its commit marker goes too) *)
+  Unix.truncate jpath (size - commit_frame_bytes - 9);
   let store, _, records, report = ok (Store.open_dir dir) in
   Alcotest.(check (list string)) "prefix" [ "r1" ] records;
   Alcotest.(check int) "dropped" 9 report.Store.bytes_dropped;
   Alcotest.(check bool) "torn reported" true (report.Store.torn_tail <> None);
   Store.close store;
   (* the damage is gone from disk, not just ignored *)
-  Alcotest.(check int) "file cut back" (16 + 2)
+  Alcotest.(check int) "file cut back" (txn_bytes "r1")
     (Unix.stat jpath).Unix.st_size;
   let _, _, records, report = ok (Store.open_dir dir) in
   Alcotest.(check (list string)) "stable" [ "r1" ] records;
@@ -710,7 +738,8 @@ let test_fsck_torn_tail () =
   Unix.truncate jpath (size - 5);
   let r = ok (Store.fsck dir) in
   Alcotest.(check bool) "unhealthy" false r.Store.fsck_healthy;
-  Alcotest.(check int) "torn bytes" (16 + 2 - 5) r.Store.fsck_torn_bytes;
+  Alcotest.(check int) "torn bytes" (commit_frame_bytes - 5)
+    r.Store.fsck_torn_bytes;
   let r = ok (Store.fsck ~repair:true dir) in
   Alcotest.(check bool) "repaired" true r.Store.fsck_healthy;
   Alcotest.(check bool) "actions reported" true (r.Store.fsck_repairs <> []);
@@ -795,11 +824,6 @@ let test_fsck_dangling_txn () =
   Alcotest.(check int) "replayable frames" 1 r.Store.fsck_journal_frames;
   let r = ok (Store.fsck ~repair:true dir) in
   Alcotest.(check bool) "repaired" true r.Store.fsck_healthy;
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-    at 0
-  in
   Alcotest.(check bool) "repair names the dangling txn" true
     (List.exists (fun m -> contains m "dangling") r.Store.fsck_repairs);
   let _, _, records, report = ok (Store.open_dir dir) in
@@ -815,8 +839,9 @@ let test_fsck_dangling_txn () =
 let corrupt_middle_frame dir =
   let jpath = Filename.concat dir "journal.log" in
   let fd = Unix.openfile jpath [ Unix.O_RDWR ] 0o644 in
-  (* frames are 16-byte header + 2-byte payload; frame 2 spans 18..35 *)
-  ignore (Unix.lseek fd (18 + 16) Unix.SEEK_SET);
+  (* each record is a 16-byte header + 2-byte payload data frame and
+     its commit marker; the second data frame spans 42..59 *)
+  ignore (Unix.lseek fd (txn_bytes "r2" + 16) Unix.SEEK_SET);
   ignore (Unix.write fd (Bytes.of_string "!") 0 1);
   Unix.close fd
 
@@ -840,8 +865,9 @@ let test_mid_journal_corruption_quarantined () =
   Alcotest.(check int) "one region" 1 (List.length report.Store.quarantined);
   (match report.Store.quarantined with
   | [ d ] ->
-    Alcotest.(check int) "region start" 18 d.Journal.d_offset;
-    Alcotest.(check int) "region end" 36 d.Journal.d_end
+    Alcotest.(check int) "region start" (txn_bytes "r1") d.Journal.d_offset;
+    (* resynchronized on the intact commit marker that followed *)
+    Alcotest.(check int) "region end" (txn_bytes "r1" + 16 + 2) d.Journal.d_end
   | _ -> Alcotest.fail "expected one damage region");
   Alcotest.(check (option string)) "not a torn tail" None report.Store.torn_tail;
   Alcotest.(check bool) "not clean" false (Store.recovery_clean report);
@@ -1085,100 +1111,18 @@ let test_salvage_sweep () =
   Alcotest.(check bool) "clean" true (Store.recovery_clean report)
 
 (* ------------------------------------------------------------------ *)
-(* Partitioned journals + group commit                                  *)
+(* Group commit                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* a routing key that lands on partition [p] of [parts] — mirrors the
-   store's [Hashtbl.hash key mod n] routing *)
-let key_for ~parts p =
-  let rec go i =
-    let k = Printf.sprintf "key%d" i in
-    if Hashtbl.hash k mod parts = p then k else go (i + 1)
-  in
-  go 0
-
-let test_partitioned_merge_order () =
+let test_write_stats () =
   let dir = tmp_dir () in
-  let store, _, _, _ = ok (Store.open_dir ~partitions:3 dir) in
-  Alcotest.(check int) "write-side partitions" 3 (Store.partitions store);
-  (* interleave groups and solo records across all three partitions *)
-  let expect = ref [] in
-  List.iteri
-    (fun i p ->
-      let key = key_for ~parts:3 p in
-      if i mod 2 = 0 then begin
-        let rs = [ Printf.sprintf "g%d-a" i; Printf.sprintf "g%d-b" i ] in
-        check_ok "group" (Store.append_group ~key store rs);
-        expect := List.rev_append rs !expect
-      end
-      else begin
-        let r = Printf.sprintf "s%d" i in
-        check_ok "solo" (Store.append ~key store r);
-        expect := r :: !expect
-      end)
-    [ 0; 1; 2; 2; 1; 0; 1; 0; 2 ];
-  let expect = List.rev !expect in
-  Alcotest.(check int) "journal_size sums partitions" (List.length expect)
-    (Store.journal_size store);
-  Store.close store;
-  Alcotest.(check bool) "p1 file" true
-    (Sys.file_exists (Filename.concat dir "journal.p1"));
-  Alcotest.(check bool) "p2 file" true
-    (Sys.file_exists (Filename.concat dir "journal.p2"));
-  (* reopen under the default: the count is probed from disk and the
-     replay is the seq-merged total order across partitions *)
-  let store, _, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check int) "probed partitions" 3 (Store.partitions store);
-  Alcotest.(check int) "merged" 3 report.Store.partitions_merged;
-  Alcotest.(check (list string)) "merged total order" expect records;
-  Alcotest.(check bool) "clean" true (Store.recovery_clean report);
-  Store.close store
-
-let test_partition_probe_growth () =
-  let dir = tmp_dir () in
-  let store, _, _, _ = ok (Store.open_dir ~partitions:4 dir) in
-  check_ok "a" (Store.append ~key:(key_for ~parts:4 3) store "a");
-  Store.close store;
-  (* asking for fewer partitions cannot shrink what is on disk *)
-  let store, _, records, _ = ok (Store.open_dir ~partitions:2 dir) in
-  Alcotest.(check int) "grown to what disk holds" 4 (Store.partitions store);
-  Alcotest.(check (list string)) "record kept" [ "a" ] records;
-  check_ok "b" (Store.append ~key:(key_for ~parts:4 3) store "b");
-  Store.close store;
-  let store, _, records, _ = ok (Store.open_dir dir) in
-  Alcotest.(check int) "still 4" 4 (Store.partitions store);
-  Alcotest.(check (list string)) "order kept" [ "a"; "b" ] records;
-  Store.close store
-
-let test_partitioned_compaction () =
-  let dir = tmp_dir () in
-  let store, _, _, _ = ok (Store.open_dir ~partitions:2 dir) in
-  let k0 = key_for ~parts:2 0 and k1 = key_for ~parts:2 1 in
-  check_ok "g0" (Store.append_group ~key:k0 store [ "a1"; "a2" ]);
-  check_ok "g1" (Store.append_group ~key:k1 store [ "b1"; "b2" ]);
-  check_ok "compact" (Store.compact store ~snapshot:"SNAP");
-  Alcotest.(check int) "all partitions emptied" 0 (Store.journal_size store);
-  check_ok "after" (Store.append ~key:k1 store "c");
-  Store.close store;
-  let store, snap, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check (option string)) "snapshot" (Some "SNAP") snap;
-  Alcotest.(check (list string)) "post-compact tail" [ "c" ] records;
-  Alcotest.(check bool) "clean" true (Store.recovery_clean report);
-  Alcotest.(check int) "epoch" 1 (Store.epoch store);
-  Store.close store
-
-let test_partitioned_write_stats () =
-  let dir = tmp_dir () in
-  let store, _, _, _ =
-    ok (Store.open_dir ~partitions:2 ~sync:`Always_fsync dir)
-  in
-  let k0 = key_for ~parts:2 0 and k1 = key_for ~parts:2 1 in
-  check_ok "a" (Store.append ~key:k0 store "a");
-  check_ok "b" (Store.append ~key:k1 store "b");
-  check_ok "g" (Store.append_group ~key:k1 store [ "c"; "d" ]);
+  let store, _, _, _ = ok (Store.open_dir ~sync:`Always_fsync dir) in
+  check_ok "a" (Store.append store "a");
+  check_ok "b" (Store.append store "b");
+  check_ok "g" (Store.append_group store [ "c"; "d" ]);
+  check_ok "empty group is no transaction" (Store.append_group store []);
   let stats = Store.write_stats store in
-  Alcotest.(check (list int)) "one entry per partition" [ 0; 1 ]
-    (List.map fst stats);
+  Alcotest.(check (list int)) "one journal, one entry" [ 0 ] (List.map fst stats);
   let total =
     List.fold_left
       (fun acc (_, s) -> Commit_daemon.add_stats acc s)
@@ -1188,17 +1132,15 @@ let test_partitioned_write_stats () =
   (* single-threaded: every transaction is its own batch and fsync *)
   Alcotest.(check int) "batches" 3 total.Commit_daemon.batches;
   Alcotest.(check int) "fsyncs" 3 total.Commit_daemon.fsyncs;
-  Alcotest.(check bool) "max batch seen" true
-    (total.Commit_daemon.max_batch >= 1);
+  Alcotest.(check int) "max batch" 1 total.Commit_daemon.max_batch;
   Store.close store
 
-let test_partitioned_concurrent_writers () =
-  (* four writer domains, one per partition: every transaction survives,
-     per-writer order is preserved by the seq merge, and the daemon
+let test_concurrent_writers () =
+  (* four writer domains on one journal: every transaction survives,
+     each writer's own order is the journal's order, and the daemon
      counters account for every submission *)
   let dir = tmp_dir () in
-  let parts = 4 in
-  let store, _, _, _ = ok (Store.open_dir ~partitions:parts dir) in
+  let store, _, _, _ = ok (Store.open_dir dir) in
   let n_domains = 4 and per = 50 in
   let ready = Atomic.make 0 in
   let worker d =
@@ -1207,35 +1149,40 @@ let test_partitioned_concurrent_writers () =
         while Atomic.get ready < n_domains do
           Domain.cpu_relax ()
         done;
-        let key = key_for ~parts d in
         for i = 0 to per - 1 do
-          match
-            Store.append_group ~key store
-              [
-                Printf.sprintf "d%d-%03d-a" d i; Printf.sprintf "d%d-%03d-b" d i;
-              ]
-          with
+          (* odd writers commit one-record transactions, even ones two *)
+          let rs =
+            Printf.sprintf "d%d-%03d-a" d i
+            :: (if d mod 2 = 0 then [ Printf.sprintf "d%d-%03d-b" d i ] else [])
+          in
+          match Store.append_group store rs with
           | Ok () -> ()
           | Error e -> failwith (Seed_util.Seed_error.to_string e)
         done)
   in
   let domains = List.init n_domains worker in
   List.iter Domain.join domains;
-  let total =
-    List.fold_left
-      (fun acc (_, s) -> Commit_daemon.add_stats acc s)
-      Commit_daemon.empty_stats (Store.write_stats store)
-  in
+  let _, total = List.hd (Store.write_stats store) in
   Alcotest.(check int) "every txn submitted" (n_domains * per)
     total.Commit_daemon.submitted;
   Alcotest.(check bool) "no more batches than txns" true
     (total.Commit_daemon.batches <= total.Commit_daemon.submitted);
+  let expected d =
+    List.concat
+      (List.init per (fun i ->
+           Printf.sprintf "d%d-%03d-a" d i
+           :: (if d mod 2 = 0 then [ Printf.sprintf "d%d-%03d-b" d i ] else [])))
+  in
+  let n_records =
+    List.fold_left (fun acc d -> acc + List.length (expected d)) 0
+      (List.init n_domains Fun.id)
+  in
+  Alcotest.(check int) "journal_size counts records" n_records
+    (Store.journal_size store);
   Store.close store;
   let _, _, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check int) "all partitions merged" parts
-    report.Store.partitions_merged;
-  Alcotest.(check int) "every record survives" (n_domains * per * 2)
-    (List.length records);
+  Alcotest.(check bool) "clean" true (Store.recovery_clean report);
+  Alcotest.(check int) "every record survives" n_records (List.length records);
   for d = 0 to n_domains - 1 do
     let prefix = Printf.sprintf "d%d-" d in
     let mine =
@@ -1243,42 +1190,26 @@ let test_partitioned_concurrent_writers () =
         (fun r -> String.length r >= 3 && String.sub r 0 3 = prefix)
         records
     in
-    let expected =
-      List.concat
-        (List.init per (fun i ->
-             [
-               Printf.sprintf "d%d-%03d-a" d i; Printf.sprintf "d%d-%03d-b" d i;
-             ]))
-    in
     Alcotest.(check (list string))
       (Printf.sprintf "writer %d order preserved" d)
-      expected mine
+      (expected d) mine
   done
 
-let test_partitioned_crash_sweep () =
-  (* crash at EVERY I/O step of a two-partition schedule, with torn
-     writes: whatever the step, recovery keeps every acknowledged group
-     whole, drops at most the in-flight one whole (never a prefix), the
-     merged replay is a prefix of the schedule, and a second open is
-     clean — the damage does not persist *)
-  let k0 = key_for ~parts:2 0 and k1 = key_for ~parts:2 1 in
+let test_crash_sweep () =
+  (* crash at EVERY I/O step of a schedule of one- and two-record
+     transactions, with torn writes: whatever the step, recovery keeps
+     every acknowledged transaction whole, drops at most the in-flight
+     one whole (never a prefix), the replay is a prefix of the
+     schedule, and a second open is clean — the damage does not
+     persist *)
   let groups =
-    [
-      (k0, [ "a1"; "a2" ]);
-      (k1, [ "b1"; "b2" ]);
-      (k0, [ "a3"; "a4" ]);
-      (k1, [ "b3"; "b4" ]);
-      (k0, [ "a5" ]);
-      (k1, [ "b5" ]);
-    ]
+    [ [ "a1"; "a2" ]; [ "b1" ]; [ "a3"; "a4" ]; [ "b2" ]; [ "a5" ]; [ "b3"; "b4" ] ]
   in
   let schedule ~io dir acked =
-    let store, _, _, _ =
-      ok (Store.open_dir ~io ~sync:`Always_fsync ~partitions:2 dir)
-    in
+    let store, _, _, _ = ok (Store.open_dir ~io ~sync:`Always_fsync dir) in
     List.iter
-      (fun (key, rs) ->
-        check_ok "group" (Store.append_group ~key store rs);
+      (fun rs ->
+        check_ok "group" (Store.append_group store rs);
         acked := rs :: !acked)
       groups;
     Store.close store
@@ -1287,7 +1218,7 @@ let test_partitioned_crash_sweep () =
   schedule ~io:(Faulty_io.io probe) (tmp_dir ()) (ref []);
   let total = Faulty_io.steps probe in
   Alcotest.(check bool) "schedule has crash points" true (total > 6);
-  let full = List.concat_map snd groups in
+  let full = List.concat groups in
   let rec is_prefix xs ys =
     match (xs, ys) with
     | [], _ -> true
@@ -1304,7 +1235,7 @@ let test_partitioned_crash_sweep () =
        Alcotest.failf "%s did not fire" name
      with Faulty_io.Crash _ -> ());
     let _, _, records, _ = ok (Store.open_dir dir) in
-    (* every group acknowledged under `Always_fsync survives whole *)
+    (* every transaction acknowledged under `Always_fsync survives whole *)
     List.iter
       (fun rs ->
         List.iter
@@ -1313,14 +1244,13 @@ let test_partitioned_crash_sweep () =
               (List.mem r records))
           rs)
       !acked;
-    (* all-or-nothing for every group, acknowledged or in-flight *)
+    (* all-or-nothing for every transaction, acknowledged or in-flight *)
     List.iter
-      (fun (_, rs) ->
+      (fun rs ->
         let live = List.filter (fun r -> List.mem r records) rs in
         Alcotest.(check bool) (name ^ ": all-or-nothing") true
           (live = [] || List.length live = List.length rs))
       groups;
-    (* the merge restores submission order: the replay is a prefix *)
     Alcotest.(check bool) (name ^ ": replay is a schedule prefix") true
       (is_prefix records full);
     (* recovery converges: the second open sees the same records, clean *)
@@ -1330,32 +1260,25 @@ let test_partitioned_crash_sweep () =
       (Store.recovery_clean report2)
   done
 
-let test_fsck_partition_local_damage () =
-  (* one partition ends inside an unterminated group (the crash-mid-
-     flush signature) while another holds a corrupt frame mid-journal:
-     fsck reports each damage on its own partition, --repair heals both
-     without crossing partitions, and the survivors keep their merged
+let test_fsck_rot_and_dangling_tail () =
+  (* the journal ends inside an unterminated transaction (the crash-mid-
+     flush signature) and also holds a corrupt frame mid-journal: fsck
+     reports both, --repair heals both, and the survivors keep their
      order *)
   let dir = tmp_dir () in
-  let store, _, _, _ = ok (Store.open_dir ~partitions:2 dir) in
-  let k0 = key_for ~parts:2 0 and k1 = key_for ~parts:2 1 in
-  check_ok "g1" (Store.append_group ~key:k1 store [ "p1a"; "p1b" ]);
-  check_ok "g2" (Store.append_group ~key:k0 store [ "p0a"; "p0b" ]);
-  check_ok "g3" (Store.append_group ~key:k1 store [ "p1c"; "p1d" ]);
-  check_ok "g4" (Store.append_group ~key:k0 store [ "p0c"; "p0d" ]);
+  let store, _, _, _ = ok (Store.open_dir dir) in
+  check_ok "g1" (Store.append_group store [ "g1a"; "g1b" ]);
+  check_ok "g2" (Store.append_group store [ "g2a"; "g2b" ]);
+  check_ok "g3" (Store.append_group store [ "g3a"; "g3b" ]);
+  check_ok "g4" (Store.append_group store [ "g4a"; "g4b" ]);
   Store.close store;
-  (* partition 0: cut g4's commit marker — a dangling tail group *)
-  let p0 = Filename.concat dir "journal.log" in
-  Unix.truncate p0 ((Unix.stat p0).Unix.st_size - commit_frame_bytes);
-  (* partition 1: flip a byte in a data frame of g1 — mid-journal rot *)
-  let p1 = Filename.concat dir "journal.p1" in
-  let s = ok (Journal.scan p1) in
-  let data_frame =
-    List.find
-      (fun f -> match f.Journal.f_kind with Journal.Data -> true | _ -> false)
-      s.Journal.frames
-  in
-  let fd = Unix.openfile p1 [ Unix.O_RDWR ] 0o644 in
+  let jpath = Filename.concat dir "journal.log" in
+  (* cut g4's commit marker — a dangling tail transaction *)
+  Unix.truncate jpath ((Unix.stat jpath).Unix.st_size - commit_frame_bytes);
+  (* flip a byte in the first data frame of g1 — mid-journal rot *)
+  let s = ok (Journal.scan jpath) in
+  let data_frame = List.hd s.Journal.frames in
+  let fd = Unix.openfile jpath [ Unix.O_RDWR ] 0o644 in
   ignore (Unix.lseek fd (data_frame.Journal.f_offset + 16) Unix.SEEK_SET);
   let b = Bytes.create 1 in
   ignore (Unix.read fd b 0 1);
@@ -1365,26 +1288,16 @@ let test_fsck_partition_local_damage () =
   Unix.close fd;
   let r = ok (Store.fsck dir) in
   Alcotest.(check bool) "unhealthy" false r.Store.fsck_healthy;
-  let h0 = List.assoc 0 r.Store.fsck_partitions in
-  let h1 = List.assoc 1 r.Store.fsck_partitions in
-  (* the damage is reported partition-locally: the dangling tail on
-     partition 0 only, the quarantined region on partition 1 only *)
-  Alcotest.(check bool) "p0 dangling tail" true h0.Store.jh_dangling_tail;
-  Alcotest.(check int) "p0 dangling records" 2 h0.Store.jh_dangling_records;
-  Alcotest.(check int) "p0 not quarantined" 0 h0.Store.jh_quarantined_regions;
-  Alcotest.(check bool) "p0 unhealthy" false h0.Store.jh_healthy;
-  Alcotest.(check bool) "p1 quarantined" true
-    (h1.Store.jh_quarantined_regions >= 1);
-  Alcotest.(check bool) "p1 no dangling tail" false h1.Store.jh_dangling_tail;
-  Alcotest.(check bool) "p1 unhealthy" false h1.Store.jh_healthy;
+  Alcotest.(check bool) "dangling tail" true r.Store.fsck_dangling_txn_tail;
+  (* g1's surviving record and g4's two records never committed *)
+  Alcotest.(check int) "dangling records" 3 r.Store.fsck_dangling_txn_records;
+  Alcotest.(check bool) "quarantined" true (r.Store.fsck_quarantined_regions >= 1);
   let r = ok (Store.fsck ~repair:true dir) in
   Alcotest.(check bool) "healthy after repair" true r.Store.fsck_healthy;
   Alcotest.(check bool) "repairs reported" true (r.Store.fsck_repairs <> []);
-  (* the intact groups survive, in their cross-partition merged order:
-     g2 (seq 2, partition 0) before g3 (seq 3, partition 1) *)
   let _, _, records, report = ok (Store.open_dir dir) in
-  Alcotest.(check (list string)) "survivors merged in seq order"
-    [ "p0a"; "p0b"; "p1c"; "p1d" ]
+  Alcotest.(check (list string)) "survivors in order"
+    [ "g2a"; "g2b"; "g3a"; "g3b" ]
     records;
   Alcotest.(check bool) "clean open" true (Store.recovery_clean report)
 
@@ -1407,15 +1320,6 @@ let () =
           prop_codec_string;
           prop_codec_float;
         ] );
-      ( "btree",
-        [
-          tc "basic" test_btree_basic;
-          tc "ordered iteration" test_btree_ordered_iteration;
-          tc "large sequential" test_btree_large_sequential;
-          tc "range scans" test_btree_range;
-          prop_btree_vs_map;
-          prop_btree_fold;
-        ] );
       ( "journal",
         [
           tc "roundtrip" test_journal_roundtrip;
@@ -1427,9 +1331,13 @@ let () =
       ( "transaction groups",
         [
           tc "roundtrip" test_group_roundtrip;
+          tc "one-record transaction" test_one_record_roundtrip;
+          tc "one-record cut at every byte" test_one_record_cut_sweep;
           tc "uncommitted group invisible" test_group_without_commit_invisible;
           tc "torn commit marker" test_group_torn_commit_marker;
-          tc "nested begin" test_nested_begin_drops_open_group;
+          tc "damaged commit marker" test_damaged_commit_marker;
+          tc "orphans before a valid group" test_orphans_before_valid_group;
+          tc "retired layout refused" test_v3_journal_refused;
           tc "store group recovery" test_store_group_recovery;
           tc "store drops uncommitted group" test_store_uncommitted_group_dropped;
         ] );
@@ -1481,14 +1389,11 @@ let () =
           tc "lying fsync keeps schedule" test_lie_fsync_keeps_schedule;
           tc "salvage sweep" test_salvage_sweep;
         ] );
-      ( "partitions",
+      ( "group commit",
         [
-          tc "merged replay order" test_partitioned_merge_order;
-          tc "probe grows, never shrinks" test_partition_probe_growth;
-          tc "compaction across partitions" test_partitioned_compaction;
-          tc "write stats" test_partitioned_write_stats;
-          tc "concurrent writers" test_partitioned_concurrent_writers;
-          tc "crash sweep over two partitions" test_partitioned_crash_sweep;
-          tc "partition-local fsck damage" test_fsck_partition_local_damage;
+          tc "write stats" test_write_stats;
+          tc "concurrent writers" test_concurrent_writers;
+          tc "crash sweep" test_crash_sweep;
+          tc "fsck rot and dangling tail" test_fsck_rot_and_dangling_tail;
         ] );
     ]
