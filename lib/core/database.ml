@@ -556,6 +556,7 @@ let begin_alternative db ~from_ ?(force = false) () =
            | None -> "(unsaved initial state)"))
     else Ok ()
   in
+  let before = save db in
   Db_state.clear_dirty db;
   (* a materialized view of [from_] already holds every resolved state;
      otherwise resolve each item through the ancestor chain *)
@@ -570,8 +571,16 @@ let begin_alternative db ~from_ ?(force = false) () =
       Item.with_dirty (Item.with_current it (resolve it)) false);
   Db_state.rebuild_state_indexes db;
   Db_state.set_current_base db (Some from_);
-  Db_state.publish db;
-  Ok ()
+  (* the version's states were consistent under the schema of their
+     day; a later schema revision may reject them (a class since
+     dropped), and the current state must satisfy the current schema *)
+  match Consistency.check_database (View.current db) with
+  | Error e ->
+    restore db before;
+    Error e
+  | Ok () ->
+    Db_state.publish db;
+    Ok ()
 
 let delete_version db vid =
   let* () = forbid_in_transaction db "delete_version" in

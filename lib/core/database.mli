@@ -198,7 +198,10 @@ val is_dirty : t -> bool
 val begin_alternative :
   t -> from_:Version_id.t -> ?force:bool -> unit -> (unit, Seed_error.t) result
 (** Make a saved version the basis of the current version. Refused while
-    unsaved changes exist, unless [force] discards them.
+    unsaved changes exist, unless [force] discards them. Refused, with
+    nothing changed, when the version's states fail the consistency
+    check under the current schema (a class or association a later
+    {!update_schema} dropped).
 
     Label semantics follow RCS: a snapshot taken while based on the
     {e latest trunk} version extends the trunk ([2.0] → [3.0]); a

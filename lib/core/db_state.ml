@@ -87,6 +87,10 @@ type t = {
      store *)
   mutable write_stats_source :
     (unit -> (int * Seed_storage.Commit_daemon.stats) list) option;
+  (* ids of the items whose record was replaced since the durable session
+     last reset the set, so its flush visits only those; [None] (nothing
+     recorded) until a session attaches, and always on frozen handles *)
+  mutable touched : Ident.Set.t option;
 }
 
 and proc = t -> Event.t -> (unit, Seed_error.t) result
@@ -133,6 +137,7 @@ let create schema =
     proc_depth = 0;
     transition_rules = [];
     write_stats_source = None;
+    touched = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -177,6 +182,7 @@ let freeze t =
     proc_depth = 0;
     transition_rules = [];
     write_stats_source = t.write_stats_source;
+    touched = None;
   }
 
 let snapshot_grabs t = Atomic.get t.snapshot_count
@@ -185,6 +191,28 @@ let set_write_stats_source t f = t.write_stats_source <- Some f
 
 let write_stats t =
   match t.write_stats_source with None -> [] | Some f -> f ()
+
+let reset_touched t = t.touched <- Some Ident.Set.empty
+
+let touched t =
+  match t.touched with None -> Ident.Set.empty | Some s -> s
+
+let touch t id =
+  match t.touched with
+  | None -> ()
+  | Some s -> t.touched <- Some (Ident.Set.add id s)
+
+let touch_set t ids =
+  match t.touched with
+  | None -> ()
+  | Some s -> t.touched <- Some (Ident.Set.union ids s)
+
+let touch_all t =
+  match t.touched with
+  | None -> ()
+  | Some s ->
+    t.touched <-
+      Some (Ident.Map.fold (fun id _ s -> Ident.Set.add id s) t.working.r_items s)
 
 let begin_txn t = t.txn_root <- Some t.working
 
@@ -230,6 +258,7 @@ let find_item_res t id =
 
 let item_count t = Ident.Map.cardinal t.working.r_items
 
+let items t = t.working.r_items
 let iter_items t f = Ident.Map.iter (fun _ it -> f it) t.working.r_items
 
 let fold_items t ~init ~f =
@@ -404,7 +433,8 @@ let add_item t (item : Item.t) =
         }
       | None -> r)
   in
-  t.working <- r
+  t.working <- r;
+  touch t item.id
 
 let add_loaded_item t (item : Item.t) =
   (* Like [add_item] but suitable for items loaded from storage: an item
@@ -433,35 +463,8 @@ let add_loaded_item t (item : Item.t) =
         }
       | Some (Item.Obj _) | None -> r)
   in
-  t.working <- r
-
-let remove_item t (item : Item.t) =
-  let r = t.working in
-  let item =
-    match Ident.Map.find_opt item.Item.id r.r_items with
-    | Some it -> it
-    | None -> item
-  in
-  let r = root_unindex_state r item item.current in
-  let r = { r with r_items = Ident.Map.remove item.id r.r_items } in
-  let r =
-    match item.body with
-    | Item.Dependent { parent; _ } ->
-      { r with r_children = Idmap.remove r.r_children parent item.id }
-    | Item.Independent -> r
-    | Item.Relationship -> (
-      match Item.rel_state item with
-      | Some { endpoints; _ } ->
-        {
-          r with
-          r_rels_of =
-            List.fold_left
-              (fun m e -> Idmap.remove m e item.id)
-              r.r_rels_of endpoints;
-        }
-      | None -> r)
-  in
-  t.working <- { r with r_dirty = Ident.Set.remove item.id r.r_dirty }
+  t.working <- r;
+  touch t item.id
 
 let replace_state t id new_state =
   match Ident.Map.find_opt id t.working.r_items with
@@ -470,17 +473,20 @@ let replace_state t id new_state =
     let r = root_unindex_state t.working item item.current in
     let item' = Item.with_current item new_state in
     let r = { r with r_items = Ident.Map.add id item' r.r_items } in
-    t.working <- root_index_state r item' new_state
+    t.working <- root_index_state r item' new_state;
+    touch t id
 
 let unsafe_put_item t (item : Item.t) =
   (* Replace the stored record without any index maintenance — test
      support for tampering with an item behind the API's back. *)
   t.working <-
-    { t.working with r_items = Ident.Map.add item.Item.id item t.working.r_items }
+    { t.working with r_items = Ident.Map.add item.Item.id item t.working.r_items };
+  touch t item.Item.id
 
 let map_items t f =
   let r = t.working in
-  t.working <- { r with r_items = Ident.Map.map f r.r_items }
+  t.working <- { r with r_items = Ident.Map.map f r.r_items };
+  touch_all t
 
 (* ------------------------------------------------------------------ *)
 (* The delta set                                                        *)
@@ -494,23 +500,11 @@ let mark_dirty t (item : Item.t) =
         t.working with
         r_items = Ident.Map.add it.Item.id (Item.with_dirty it true) t.working.r_items;
         r_dirty = Ident.Set.add it.Item.id t.working.r_dirty;
-      }
+      };
+    touch t it.Item.id
   | Some _ | None -> ()
 
 let dirty_ids t = Ident.Set.elements t.working.r_dirty
-
-let take_dirty t =
-  let r = t.working in
-  let items =
-    Ident.Set.fold
-      (fun id acc ->
-        match Ident.Map.find_opt id r.r_items with
-        | Some it when it.Item.dirty -> it :: acc
-        | Some _ | None -> acc)
-      r.r_dirty []
-  in
-  t.working <- { r with r_dirty = Ident.Set.empty };
-  items
 
 let clear_dirty t =
   let r = t.working in
@@ -522,7 +516,8 @@ let clear_dirty t =
         | None -> m)
       r.r_dirty r.r_items
   in
-  t.working <- { r with r_items = items; r_dirty = Ident.Set.empty }
+  t.working <- { r with r_items = items; r_dirty = Ident.Set.empty };
+  touch_set t r.r_dirty
 
 let rebuild_dirty t =
   let r = t.working in
@@ -547,11 +542,13 @@ let stamp_dirty t vid =
       r.r_dirty r.r_items
   in
   t.working <- { r with r_items = items; r_dirty = Ident.Set.empty };
+  touch_set t r.r_dirty;
   !count
 
 let drop_version_stamps t vid =
   let r = t.working in
-  t.working <- { r with r_items = Ident.Map.map (fun it -> Item.drop_stamp it vid) r.r_items }
+  t.working <- { r with r_items = Ident.Map.map (fun it -> Item.drop_stamp it vid) r.r_items };
+  touch_all t
 
 (* ------------------------------------------------------------------ *)
 (* Identity indexes                                                     *)

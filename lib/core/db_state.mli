@@ -88,6 +88,24 @@ val write_stats : t -> (int * Seed_storage.Commit_daemon.stats) list
 (** Group-commit counters of the attached store; [[]] when the
     database has no durable session. *)
 
+val reset_touched : t -> unit
+(** Start recording, or restart with an empty set: from now on every
+    mutator that replaces an item's record in the item table (the
+    {e Item mutation} and {e delta set} functions below) adds the
+    item's id to the handle's touched set. Called by the durable
+    session on attach and after each flush, so its flush visits only
+    the items replaced since. Frozen handles and handles no session
+    attached to record nothing. A root swap ({!set_root},
+    {!rollback_txn}) records nothing either: every record it restores
+    was replaced after the root was captured, and so was recorded,
+    provided the set is not reset in between — the session refuses to
+    flush inside a transaction. *)
+
+val touched : t -> Ident.Set.t
+(** Ids recorded since the last {!reset_touched}; empty when not
+    recording. A superset of the items whose record differs from the
+    one they had then. *)
+
 val begin_txn : t -> unit
 (** Pin the working root as the transaction savepoint; {!publish}
     becomes a no-op until commit/rollback. *)
@@ -146,10 +164,6 @@ val add_loaded_item : t -> Item.t -> unit
     extent indexes must be rebuilt with {!rebuild_state_indexes}
     afterwards. *)
 
-val remove_item : t -> Item.t -> unit
-(** Physically remove a just-created item (update rollback only — user
-    deletion is always logical). *)
-
 val replace_state : t -> Ident.t -> Item.state option -> unit
 (** Overwrite the item's current state, maintaining the name index and
     all extents (the old state is unindexed, the new one indexed).
@@ -203,10 +217,6 @@ val all_live_ids : t -> Ident.t list
 val mark_dirty : t -> Item.t -> unit
 (** Add to the delta set for the next version snapshot (sets the
     per-item flag). *)
-
-val take_dirty : t -> Item.t list
-(** Items changed since the last snapshot; clears the set but not the
-    per-item flags (stamping does that). *)
 
 val clear_dirty : t -> unit
 (** Reset all dirty flags and the set (after a branch switch). *)
@@ -364,6 +374,10 @@ val set_transition_rules :
 
 val schema_at_revision : t -> int -> Schema.t option
 (** The schema that was in force at a given revision. *)
+
+val items : t -> Item.t Ident.Map.t
+(** The working root's item table — a persistent map: retaining it is
+    O(1) and pins only the item records. *)
 
 val iter_items : t -> (Item.t -> unit) -> unit
 

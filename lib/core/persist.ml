@@ -471,13 +471,13 @@ let load ?(verify = true) ~dir () =
 (* ------------------------------------------------------------------ *)
 
 module Session = struct
-  type shadow = { sh_state : Item.state option; sh_history_len : int }
-
   type t = {
     database : Database.t;
     store : Store.t;
     recovery : Store.recovery;
-    shadows : shadow Ident.Tbl.t;
+    mutable flushed : Item.t Ident.Map.t;
+        (* the item table as of the last flush (or open / compaction):
+           a persistent map sharing structure with the live one *)
     mutable meta_fingerprint : string;
   }
 
@@ -486,14 +486,12 @@ module Session = struct
     w_meta w st;
     W.contents w
 
-  let shadow_of (it : Item.t) =
-    { sh_state = it.Item.current; sh_history_len = Item.history_size it }
-
-  let remember t (it : Item.t) = Ident.Tbl.replace t.shadows it.Item.id (shadow_of it)
-
-  let snapshot_shadows t =
-    Ident.Tbl.reset t.shadows;
-    Db_state.iter_items (Database.raw t.database) (fun it -> remember t it)
+  (* the durable state now matches the database: diff the next flush
+     against this item table, starting from an empty touched set *)
+  let mark_flushed t =
+    let st = Database.raw t.database in
+    t.flushed <- Db_state.items st;
+    Db_state.reset_touched st
 
   let open_ ~dir ?schema ?(verify = true) ?io ?sync ?generations ?retry ?sleep
       () =
@@ -514,11 +512,11 @@ module Session = struct
         database;
         store;
         recovery;
-        shadows = Ident.Tbl.create 256;
+        flushed = Ident.Map.empty;
         meta_fingerprint = fingerprint (Database.raw database);
       }
     in
-    snapshot_shadows t;
+    mark_flushed t;
     Db_state.set_write_stats_source (Database.raw database) (fun () ->
         Store.write_stats store);
     (* a fresh database directory gets an initial meta record so load
@@ -533,18 +531,32 @@ module Session = struct
   let recovery t = t.recovery
 
   let changed t (it : Item.t) =
-    match Ident.Tbl.find_opt t.shadows it.Item.id with
+    match Ident.Map.find_opt it.Item.id t.flushed with
     | None -> true
-    | Some sh ->
-      (not (sh.sh_state == it.Item.current))
-      || sh.sh_history_len <> Item.history_size it
+    | Some old ->
+      (not (old.Item.current == it.Item.current))
+      || Item.history_size old <> Item.history_size it
+
+  (* uncommitted state must not reach the disk: a rollback would leave
+     it there, and would revert items the reset touched set no longer
+     names, so they would never be written again *)
+  let outside_transaction t what =
+    if Database.in_transaction t.database then
+      fail (Invalid_operation (what ^ " is not allowed inside a transaction"))
+    else Ok ()
 
   let flush t =
+    let* () = outside_transaction t "flush" in
     let st = Database.raw t.database in
+    let items = Db_state.items st in
     let dirty_items =
-      Db_state.fold_items st ~init:[] ~f:(fun acc it ->
-          if changed t it then it :: acc else acc)
-      |> List.sort (fun (a : Item.t) b -> Ident.compare a.Item.id b.Item.id)
+      Ident.Set.fold
+        (fun id acc ->
+          match Ident.Map.find_opt id items with
+          | Some it when changed t it -> it :: acc
+          | Some _ | None -> acc)
+        (Db_state.touched st) []
+      |> List.rev
     in
     let fp = fingerprint st in
     let records =
@@ -553,15 +565,17 @@ module Session = struct
     in
     (* one transaction: a crash mid-flush durably persists either the
        whole batch (items + meta) or none of it — recovery never sees a
-       prefix of a checkin *)
+       prefix of a checkin. On failure nothing moves, so a retry writes
+       the same records. *)
     let* () = Store.append_group t.store records in
-    List.iter (fun it -> remember t it) dirty_items;
+    mark_flushed t;
     t.meta_fingerprint <- fp;
     Ok ()
 
   let compact t =
+    let* () = outside_transaction t "compact" in
     let* () = Store.compact t.store ~snapshot:(encode_db t.database) in
-    snapshot_shadows t;
+    mark_flushed t;
     t.meta_fingerprint <- fingerprint (Database.raw t.database);
     Ok ()
 

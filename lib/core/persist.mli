@@ -63,10 +63,22 @@ module Session : sig
       changed since the last flush, plus a metadata record when the
       version tree, schema, or id generator advanced. The batch is one
       atomic transaction; concurrent flushes coalesce into shared
-      fsyncs via the store's commit daemon. *)
+      fsyncs via the store's commit daemon.
+
+      Cost: O(items changed since the last flush), independent of the
+      database's size. The session keeps the item table it last
+      flushed (a persistent map sharing structure with the live one)
+      and visits only the ids the database recorded as touched since
+      ({!Db_state.touched}); an item is written when its current state
+      is not physically the flushed one or its history grew or shrank.
+      A failed append moves neither, so a retry writes the same
+      records. Refused with [Invalid_operation] while a {!Database}
+      transaction is open: uncommitted state never reaches the
+      journal. *)
 
   val compact : t -> (unit, Seed_error.t) result
-  (** Write a fresh snapshot and truncate the journal. *)
+  (** Write a fresh snapshot and truncate the journal. Refused, like
+      {!flush}, while a transaction is open. *)
 
   val journal_records : t -> int
   (** Records in the journal since the last compaction. *)

@@ -197,11 +197,12 @@ let checkin t ~client ops =
   with
   | Ok () ->
     (* a durable server publishes the committed batch through the
-       store's group-commit daemon: the flush is one transaction group
-       routed by the batch's root object, and concurrent checkins
-       coalesce into shared fsyncs. On a flush failure the locks are
-       kept and the session's shadow table is untouched, so a later
-       flush (or checkin) retries exactly the same records *)
+       store's group-commit daemon: the flush is one journal
+       transaction of the items changed since the last flush, and
+       concurrent checkins coalesce into shared fsyncs. On a flush
+       failure the locks are kept and the session's flushed item map
+       and touched set do not move, so a later flush (or checkin)
+       retries exactly the same records *)
     let* () =
       match t.session with
       | None -> Ok ()

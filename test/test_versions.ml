@@ -337,6 +337,25 @@ let test_schema_update_rejected_when_data_violates () =
   check_ok "third text under old schema"
     (Result.map (fun _ -> ()) (DB.create_sub_object db ~parent:d ~role:"Text" ()))
 
+let test_branch_refused_when_schema_rejects_version () =
+  (* a version stamped under a class that a later schema revision
+     dropped cannot become the current state again *)
+  let db = fresh_db () in
+  let a = ok (DB.create_object db ~cls:"InputData" ~name:"A" ()) in
+  let v1 = ok (DB.create_version db) in
+  ok (DB.reclassify db a ~to_:"Data");
+  let classes, assocs = Spades_tool.Spec_model.schema_defs () in
+  let classes = List.filter (fun c -> Class_def.name c <> "InputData") classes in
+  let assocs = List.filter (fun (x : Assoc_def.t) -> x.Assoc_def.name <> "Read") assocs in
+  check_ok "drop InputData" (DB.update_schema db (Schema.of_defs_exn classes assocs));
+  check_err "switch refused"
+    (function Seed_error.Unknown_class _ -> true | _ -> false)
+    (DB.begin_alternative db ~from_:v1 ~force:true ());
+  (* nothing moved: the unsaved reclassification is still current *)
+  Alcotest.(check (option string)) "class kept" (Some "Data") (DB.class_of db a);
+  Alcotest.(check bool) "still dirty" true (DB.is_dirty db);
+  Alcotest.(check bool) "base kept" true (DB.current_base db = Some v1)
+
 let () =
   Alcotest.run "versions"
     [
@@ -371,5 +390,7 @@ let () =
         [
           tc "schema evolves with versions" test_schema_versions;
           tc "incompatible schema refused" test_schema_update_rejected_when_data_violates;
+          tc "branch the schema rejects refused"
+            test_branch_refused_when_schema_rejects_version;
         ] );
     ]
