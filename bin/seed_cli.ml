@@ -513,9 +513,11 @@ let fsck_cmd =
           ~doc:
             "Fix what can be fixed: truncate a torn journal tail or a \
              dangling (uncommitted) transaction group, drop a stale journal, \
-             promote the snapshot fallback, remove leftover temporary files. \
-             An unreadable snapshot with no fallback is quarantined (its \
-             data is lost).")
+             promote the newest intact generation when the snapshot is \
+             missing or unreadable, remove leftover temporary files. An \
+             unreadable snapshot with no intact generation is quarantined \
+             (its data is lost). A store holding a snapshot.bin.old, left by \
+             an earlier version mid-compaction, is refused unchanged.")
   in
   Cmd.v
     (Cmd.info "fsck"

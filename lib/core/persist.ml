@@ -493,10 +493,9 @@ module Session = struct
     t.flushed <- Db_state.items st;
     Db_state.reset_touched st
 
-  let open_ ~dir ?schema ?(verify = true) ?io ?sync ?generations ?retry ?sleep
-      () =
+  let open_ ~dir ?schema ?(verify = true) ?io ?sync ?retry ?sleep () =
     let* store, snapshot, records, recovery =
-      Store.open_dir ?io ?sync ?generations ?retry ?sleep dir
+      Store.open_dir ?io ?sync ?retry ?sleep dir
     in
     let* parts = load_parts snapshot records in
     let* database =

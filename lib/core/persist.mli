@@ -38,25 +38,25 @@ module Session : sig
   val open_ :
     dir:string -> ?schema:Schema.t -> ?verify:bool ->
     ?io:Seed_storage.Io.t -> ?sync:Seed_storage.Store.sync_policy ->
-    ?generations:int -> ?retry:Retry.policy ->
-    ?sleep:(float -> unit) ->
+    ?retry:Retry.policy -> ?sleep:(float -> unit) ->
     unit ->
     (t, Seed_error.t) result
   (** Open (or create, given [schema]) the database at [dir]. Opening an
       empty directory without a schema fails. [sync] (default
       [`Flush_only]) sets the durability of every journal append; [io]
       substitutes the I/O environment (fault injection in tests);
-      [generations] (default 2) how many old snapshots compaction keeps
-      for generation-by-generation recovery fallback; [retry]/[sleep] the
-      bounded-backoff policy absorbing transient I/O faults (see
-      {!Seed_storage.Store.open_dir}). *)
+      [retry]/[sleep] the bounded-backoff policy absorbing transient I/O
+      faults. A store the engine no longer reads (a version-3 journal, a
+      leftover [snapshot.bin.old]) is refused with [Corrupt] and left
+      unchanged (see {!Seed_storage.Store.open_dir}). *)
 
   val db : t -> Database.t
 
   val recovery : t -> Seed_storage.Store.recovery
   (** What recovery found (and repaired) when the store was opened:
       records replayed, torn-tail bytes dropped, whether a stale journal
-      was skipped or the snapshot fallback was used. *)
+      was skipped, and which snapshot generation the state came from
+      when [snapshot.bin] was missing or unreadable. *)
 
   val flush : t -> (unit, Seed_error.t) result
   (** Append journal records for every item whose state or history

@@ -9,7 +9,6 @@ type t = {
   sync_policy : sync_policy;
   retry : Retry.policy;
   sleep : (float -> unit) option;
-  generations : int;
   mutable epoch : int;
   journal : Journal.t option ref;  (* None while compaction swaps it *)
   records : int ref;  (* data records since last compaction *)
@@ -19,18 +18,13 @@ type t = {
 }
 
 let snapshot_path dir = Filename.concat dir "snapshot.bin"
-let fallback_path dir = Filename.concat dir "snapshot.bin.old"
 let tmp_path dir = Filename.concat dir "snapshot.bin.tmp"
 let quarantine_path dir = Filename.concat dir "snapshot.bin.corrupt"
 let journal_path dir = Filename.concat dir "journal.log"
 let generation_path dir k = Printf.sprintf "%s.%d" (snapshot_path dir) k
 
-let default_generations = 2
-
-(* generation slots are probed, not configured, on the read side: a
-   store reopened with a smaller [generations] must still see (and fsck
-   must still clean) the slots an earlier configuration left behind *)
-let max_generation_probe = 9
+(* old snapshots kept in [snapshot.bin.1..generations], newest first *)
+let generations = 2
 
 let wrap_io = Seed_error.wrap_io
 
@@ -57,7 +51,6 @@ type recovery = {
   quarantined : Journal.damage list;
   ahead_dropped : int;
   stale_journal : bool;
-  used_fallback : bool;
   snapshot_generation : int option;
   io_retries : int;
   epoch : int;
@@ -66,7 +59,6 @@ type recovery = {
 let recovery_clean r =
   r.bytes_dropped = 0 && r.txn_dropped = 0
   && (not r.stale_journal)
-  && (not r.used_fallback)
   && r.quarantined = [] && r.ahead_dropped = 0
   && r.snapshot_generation = None
 
@@ -99,20 +91,34 @@ let pp_recovery ppf r =
            r.ahead_dropped
        else "")
       (if r.stale_journal then ", stale journal skipped" else "")
-      (match (r.used_fallback, r.snapshot_generation) with
-      | _, Some g ->
-        Printf.sprintf ", recovered from snapshot generation %d" g
-      | true, None -> ", recovered from snapshot fallback"
-      | false, None -> "")
+      (match r.snapshot_generation with
+      | Some g -> Printf.sprintf ", recovered from snapshot generation %d" g
+      | None -> "")
       (if r.io_retries > 0 then
          Printf.sprintf ", %d transient i/o retr%s" r.io_retries
            (if r.io_retries = 1 then "y" else "ies")
        else "")
 
-type snapshot_source = Src_primary | Src_fallback | Src_generation of int
+(* Earlier versions parked the previous snapshot in [snapshot.bin.old]
+   mid-compaction. A leftover one may hold the newest acknowledged
+   epoch, so recovering from an older generation past it would drop
+   journal records without a word: open and fsck refuse the store
+   instead, before touching anything. *)
+let refuse_leftover_old ~io dir =
+  if io.Io.exists (Filename.concat dir "snapshot.bin.old") then
+    fail
+      (Corrupt
+         (Printf.sprintf
+            "store %s: snapshot.bin.old is the leftover of a compaction \
+             interrupted under an earlier version, which no longer \
+             recovers from it — open the store once with that version \
+             to finish the compaction"
+            dir))
+  else Ok ()
 
-(* Loads the newest readable snapshot, walking primary -> compaction
-   fallback -> generations 1..N. Transient read errors are retried per
+(* Loads the newest readable snapshot, walking primary -> generations
+   1..[generations]; the second result is the generation that won
+   ([None] for the primary). Transient read errors are retried per
    [retry]; a Corrupt result is re-read once (the corruption may live in
    the transport, not the medium) before falling back a generation. *)
 let load_snapshot ~io ~retry ~sleep ~count_retry dir =
@@ -129,10 +135,9 @@ let load_snapshot ~io ~retry ~sleep ~count_retry dir =
       (fun () -> Snapshot_file.read ~io path)
   in
   let candidates =
-    (snapshot_path dir, Src_primary)
-    :: (fallback_path dir, Src_fallback)
-    :: List.init max_generation_probe (fun i ->
-           (generation_path dir (i + 1), Src_generation (i + 1)))
+    (snapshot_path dir, None)
+    :: List.init generations (fun i ->
+           (generation_path dir (i + 1), Some (i + 1)))
   in
   let primary_damaged = ref false in
   let rec walk first_err = function
@@ -145,12 +150,12 @@ let load_snapshot ~io ~retry ~sleep ~count_retry dir =
       | Ok (Some sp) -> Ok (Some (sp, src))
       | Ok None -> walk first_err rest
       | Error e ->
-        if src = Src_primary then primary_damaged := true;
+        if src = None then primary_damaged := true;
         walk (if first_err = None then Some e else first_err) rest)
   in
   let* found = walk None candidates in
   match found with
-  | None -> Ok (None, Src_primary, false)
+  | None -> Ok (None, None, false)
   | Some (sp, src) -> Ok (Some sp, src, !primary_damaged)
 
 (* The reference epoch is the snapshot's: the journal's live frames are
@@ -229,7 +234,6 @@ let classify ~snap_epoch ~allow_ahead ~path (s : Journal.scan_result) =
           quarantined;
           ahead_dropped = ahead_data;
           stale_journal = stale <> [];
-          used_fallback = false;
           snapshot_generation = None;
           io_retries = 0;
           epoch = snap_epoch;
@@ -281,11 +285,11 @@ let make_daemon ~sync ~retry ~sleep ~retried ~active ~path journal records =
     ~counts_fsync:(sync = `Always_fsync) write
 
 let open_dir ?(io = Io.real) ?(sync = `Flush_only)
-    ?(generations = default_generations) ?(retry = Retry.default_policy) ?sleep
-    dir =
+    ?(retry = Retry.default_policy) ?sleep dir =
   let retried = Atomic.make 0 in
   let count_retry () = Atomic.incr retried in
   let* () = ensure_dir dir in
+  let* () = refuse_leftover_old ~io dir in
   let jpath = journal_path dir in
   let scan_with_retry () =
     Retry.with_retry ~policy:retry ?sleep
@@ -307,7 +311,7 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only)
       scan_with_retry ()
     end
   in
-  let* snap, source, primary_damaged =
+  let* snap, generation, primary_damaged =
     load_snapshot ~io ~retry ~sleep ~count_retry dir
   in
   let* () =
@@ -320,39 +324,24 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only)
   let* () =
     (* normalize: promote the recovered copy so [snapshot.bin] is again
        the authoritative one (rename is atomic — a crash here is safe) *)
-    match source with
-    | Src_primary -> Ok ()
-    | Src_fallback ->
-      wrap_io (fun () ->
-          io.Io.rename (fallback_path dir) (snapshot_path dir);
-          io.Io.fsync_dir dir)
-    | Src_generation k ->
+    match generation with
+    | None -> Ok ()
+    | Some k ->
       wrap_io (fun () ->
           io.Io.rename (generation_path dir k) (snapshot_path dir);
           io.Io.fsync_dir dir)
   in
   let* () =
-    (* sweep compaction leftovers: an interrupted snapshot write leaves
-       [snapshot.bin.tmp]; an interrupted cleanup leaves
-       [snapshot.bin.old], which becomes generation 1 (it is the
-       previous epoch's snapshot — exactly what the slot holds) *)
+    (* an interrupted snapshot write leaves [snapshot.bin.tmp] behind *)
     wrap_io (fun () ->
-        let dirty = ref false in
         if io.Io.exists (tmp_path dir) then begin
           io.Io.unlink (tmp_path dir);
-          dirty := true
-        end;
-        if io.Io.exists (fallback_path dir) then begin
-          if generations > 0 && not (io.Io.exists (generation_path dir 1))
-          then io.Io.rename (fallback_path dir) (generation_path dir 1)
-          else io.Io.unlink (fallback_path dir);
-          dirty := true
-        end;
-        if !dirty then io.Io.fsync_dir dir)
+          io.Io.fsync_dir dir
+        end)
   in
   let snap_epoch = match snap with Some (e, _) -> e | None -> 0 in
   let* txns, report, truncate_to =
-    classify ~snap_epoch ~allow_ahead:(source <> Src_primary) ~path:jpath
+    classify ~snap_epoch ~allow_ahead:(generation <> None) ~path:jpath
       scanned
   in
   let* () =
@@ -378,7 +367,6 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only)
         sync_policy = sync;
         retry;
         sleep;
-        generations;
         epoch = snap_epoch;
         journal;
         records;
@@ -392,9 +380,7 @@ let open_dir ?(io = Io.real) ?(sync = `Flush_only)
       List.concat_map (List.map (fun f -> f.Journal.f_payload)) txns,
       {
         report with
-        used_fallback = source <> Src_primary;
-        snapshot_generation =
-          (match source with Src_generation k -> Some k | _ -> None);
+        snapshot_generation = generation;
         io_retries = Atomic.get retried;
       } )
 
@@ -441,21 +427,16 @@ let write_stats t = [ (0, Commit_daemon.stats t.daemon) ]
 (* Compaction                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Shifts snapshot generations up one slot (dropping the oldest) to free
-   [snapshot.bin.1] for the snapshot being replaced. Every operation is
-   existence-guarded, so a store without generations pays nothing. *)
+(* Frees generation slot 1 for the snapshot being replaced: the oldest
+   generation drops and slot 1 moves up to slot 2. Every operation is
+   existence-guarded, so a young store pays nothing. *)
 let rotate_generations t =
   wrap_io (fun () ->
       let io = t.io in
-      if t.generations > 0 then begin
-        let last = generation_path t.dir t.generations in
-        if io.Io.exists last then io.Io.unlink last;
-        for k = t.generations - 1 downto 1 do
-          let src = generation_path t.dir k in
-          if io.Io.exists src then
-            io.Io.rename src (generation_path t.dir (k + 1))
-        done
-      end)
+      let oldest = generation_path t.dir generations in
+      if io.Io.exists oldest then io.Io.unlink oldest;
+      let newest = generation_path t.dir 1 in
+      if io.Io.exists newest then io.Io.rename newest oldest)
 
 let close_journal t =
   match !(t.journal) with
@@ -474,62 +455,53 @@ let reopen_journal t ~epoch =
     t.journal := Some j;
     Ok ()
 
+(* Until the new snapshot's directory fsync the renames before it may
+   not be durable; either way open finds the previous snapshot under
+   [snapshot.bin] or generation slot 1, at the journal's epoch, and
+   promotes it. *)
 let compact_quiesced t ~snapshot =
   close_journal t;
   let next = t.epoch + 1 in
   let io = t.io in
-  let snap = snapshot_path t.dir and old = fallback_path t.dir in
-  (* step 0: make room in generation slot 1 for the snapshot being
-     replaced (the previous generations shift up, the oldest drops) *)
-  match rotate_generations t with
-  | Error e ->
+  let snap = snapshot_path t.dir and slot1 = generation_path t.dir 1 in
+  let abort e =
     let* () = reopen_journal t ~epoch:t.epoch in
     Error e
-  | Ok () -> (
-    (* step 1: set the previous snapshot aside as the fallback *)
+  in
+  (* steps 1-2: shift the generations up, then retire the current
+     snapshot straight into slot 1 *)
+  match
+    let* () = rotate_generations t in
+    wrap_io (fun () ->
+        let retired = io.Io.exists snap in
+        if retired then io.Io.rename snap slot1;
+        retired)
+  with
+  | Error e -> abort e
+  | Ok retired -> (
+    (* step 3: write the new snapshot under the next epoch (tmp file,
+       fsync, rename, directory fsync — all inside Snapshot_file) *)
     match
-      wrap_io (fun () -> if io.Io.exists snap then io.Io.rename snap old)
+      with_retry t (fun () -> Snapshot_file.write ~io snap ~epoch:next snapshot)
     with
     | Error e ->
-      let* () = reopen_journal t ~epoch:t.epoch in
-      Error e
-    | Ok () -> (
-      (* step 2: write the new snapshot under the next epoch (tmp file,
-         fsync, rename, directory fsync — all inside Snapshot_file) *)
-      match
-        with_retry t (fun () ->
-            Snapshot_file.write ~io snap ~epoch:next snapshot)
-      with
-      | Error e ->
-        (* the new snapshot never landed: put the old one back *)
-        (try
-           if io.Io.exists old && not (io.Io.exists snap) then
-             io.Io.rename old snap
-         with Sys_error _ | Unix.Unix_error _ -> ());
-        let* () = reopen_journal t ~epoch:t.epoch in
-        Error e
-      | Ok () ->
-        (* the new snapshot is durable: the store is at [next] from here
-           on, even if the housekeeping below fails — recovery skips the
-           now-stale journal by epoch mismatch *)
-        t.epoch <- next;
-        let housekeeping =
-          let* () = Journal.truncate ~io (journal_path t.dir) in
-          wrap_io (fun () ->
-              if io.Io.exists old then
-                if
-                  t.generations > 0
-                  && not (io.Io.exists (generation_path t.dir 1))
-                then begin
-                  (* the replaced snapshot becomes generation 1 *)
-                  io.Io.rename old (generation_path t.dir 1);
-                  io.Io.fsync_dir t.dir
-                end
-                else io.Io.unlink old)
-        in
-        let* () = reopen_journal t ~epoch:next in
-        t.records := 0;
-        housekeeping))
+      (* back to the pre-compaction pair, also when the rename landed
+         and only the directory fsync failed: a new-epoch snapshot next
+         to the old-epoch journal would turn later appends stale *)
+      (try
+         if retired then io.Io.rename slot1 snap
+         else if io.Io.exists snap then io.Io.unlink snap
+       with Sys_error _ | Unix.Unix_error _ -> ());
+      abort e
+    | Ok () ->
+      (* the new snapshot is durable: the store is at [next] from here
+         on, even if truncation fails — recovery skips the now-stale
+         journal by epoch mismatch *)
+      t.epoch <- next;
+      let truncated = Journal.truncate ~io (journal_path t.dir) in
+      let* () = reopen_journal t ~epoch:next in
+      t.records := 0;
+      truncated)
 
 let compact t ~snapshot = quiesced t (fun () -> compact_quiesced t ~snapshot)
 
@@ -550,7 +522,6 @@ type file_status =
 
 type fsck_report = {
   fsck_snapshot : file_status;
-  fsck_fallback : file_status;
   fsck_generations : (int * file_status) list;
   fsck_tmp_leftover : bool;
   fsck_journal_frames : int;
@@ -566,8 +537,8 @@ type fsck_report = {
   fsck_repairs : string list;
 }
 
-let status_of_snapshot ?io path =
-  match Snapshot_file.read ?io path with
+let status_of_snapshot ~io path =
+  match Snapshot_file.read ~io path with
   | Ok None -> Ok Absent
   | Ok (Some (epoch, payload)) ->
     Ok (Intact { epoch; bytes = String.length payload })
@@ -576,40 +547,35 @@ let status_of_snapshot ?io path =
 
 (* The generation slots on disk, present ones only (slots can be sparse
    after an interrupted rotation). *)
-let generation_statuses ?io dir =
-  let exists =
-    match io with Some i -> i.Io.exists | None -> Sys.file_exists
-  in
+let generation_statuses ~io dir =
   let rec go k acc =
-    if k > max_generation_probe then Ok (List.rev acc)
+    if k > generations then Ok (List.rev acc)
     else
       let p = generation_path dir k in
-      if not (exists p) then go (k + 1) acc
+      if not (io.Io.exists p) then go (k + 1) acc
       else
-        let* st = status_of_snapshot ?io p in
+        let* st = status_of_snapshot ~io p in
         go (k + 1) ((k, st) :: acc)
   in
   go 1 []
 
-let analyze ?io dir =
+let analyze ~io dir =
   let* () = ensure_dir dir in
-  let* snapshot = status_of_snapshot ?io (snapshot_path dir) in
-  let* fallback = status_of_snapshot ?io (fallback_path dir) in
-  let* gens = generation_statuses ?io dir in
-  let tmp = Sys.file_exists (tmp_path dir) in
-  let snap_epoch =
-    match (snapshot, fallback) with
-    | Intact { epoch; _ }, _ -> Some epoch
-    | _, Intact { epoch; _ } -> Some epoch
-    | _ -> (
-      match
-        List.find_opt (fun (_, st) -> match st with Intact _ -> true | _ -> false) gens
-      with
-      | Some (_, Intact { epoch; _ }) -> Some epoch
-      | _ -> None)
+  let* () = refuse_leftover_old ~io dir in
+  let* snapshot = status_of_snapshot ~io (snapshot_path dir) in
+  let* gens = generation_statuses ~io dir in
+  let tmp = io.Io.exists (tmp_path dir) in
+  let generation_epoch =
+    List.find_map
+      (function _, Intact { epoch; _ } -> Some epoch | _ -> None)
+      gens
   in
-  let reference = Option.value snap_epoch ~default:0 in
-  let* scanned = Journal.scan ?io (journal_path dir) in
+  let reference =
+    match (snapshot, generation_epoch) with
+    | Intact { epoch; _ }, _ | _, Some epoch -> epoch
+    | _, None -> 0
+  in
+  let* scanned = Journal.scan ~io (journal_path dir) in
   let frames = scanned.Journal.frames in
   let _, quarantined, groups, prefix_end = resolve_journal ~reference scanned in
   let stale = List.exists (fun f -> f.Journal.f_epoch < reference) frames in
@@ -624,9 +590,8 @@ let analyze ?io dir =
   let healthy =
     (match snapshot with
     | Intact _ -> true
-    | Absent -> journal_frames = 0 || reference = 0
+    | Absent -> generation_epoch = None (* open would promote it *)
     | Damaged _ -> false)
-    && (match fallback with Absent -> true | _ -> false)
     && gens_healthy && (not tmp) && torn_bytes = 0 && quarantined = []
     && (not stale) && (not ahead)
     && groups.Journal.g_dropped_records = 0
@@ -634,7 +599,6 @@ let analyze ?io dir =
   Ok
     {
       fsck_snapshot = snapshot;
-      fsck_fallback = fallback;
       fsck_generations = gens;
       fsck_tmp_leftover = tmp;
       fsck_journal_frames = journal_frames;
@@ -726,21 +690,9 @@ let repair_actions ~io dir report =
       report.fsck_generations
   in
   let* () =
-    match (report.fsck_snapshot, report.fsck_fallback) with
-    | (Absent | Damaged _), Intact _ ->
-      wrap_io (fun () ->
-          (match report.fsck_snapshot with
-          | Damaged _ ->
-            io.Io.rename (snapshot_path dir) (quarantine_path dir);
-            act "quarantined unreadable snapshot.bin as snapshot.bin.corrupt"
-          | _ -> ());
-          io.Io.rename (fallback_path dir) (snapshot_path dir);
-          io.Io.fsync_dir dir;
-          act "promoted snapshot.bin.old to snapshot.bin")
-    | (Absent | Damaged _), (Absent | Damaged _)
-      when newest_intact_generation <> None ->
-      (* no primary or fallback to stand on: fall back a generation *)
-      let k, _ = Option.get newest_intact_generation in
+    match (report.fsck_snapshot, newest_intact_generation) with
+    | (Absent | Damaged _), Some (k, _) ->
+      (* no primary to stand on: fall back a generation *)
       wrap_io (fun () ->
           (match report.fsck_snapshot with
           | Damaged _ ->
@@ -750,29 +702,21 @@ let repair_actions ~io dir report =
           io.Io.rename (generation_path dir k) (snapshot_path dir);
           io.Io.fsync_dir dir;
           act "promoted snapshot generation %d to snapshot.bin" k)
-    | Damaged _, _ ->
+    | Damaged _, None ->
       wrap_io (fun () ->
           io.Io.rename (snapshot_path dir) (quarantine_path dir);
           io.Io.fsync_dir dir;
           act
             "quarantined unreadable snapshot.bin as snapshot.bin.corrupt (no \
-             usable fallback — its data is lost)")
+             intact generation — its data is lost)")
     | _ -> Ok ()
-  in
-  let* () =
-    (* whatever is still at snapshot.bin.old is redundant or damaged *)
-    if Sys.file_exists (fallback_path dir) then
-      wrap_io (fun () ->
-          io.Io.unlink (fallback_path dir);
-          act "removed leftover snapshot.bin.old")
-    else Ok ()
   in
   let* () =
     (* a damaged generation can never be recovered from: drop it *)
     iter_result
       (fun (k, st) ->
         match st with
-        | Damaged _ when Sys.file_exists (generation_path dir k) ->
+        | Damaged _ when io.Io.exists (generation_path dir k) ->
           wrap_io (fun () ->
               io.Io.unlink (generation_path dir k);
               act "removed damaged snapshot generation %d" k)
@@ -804,9 +748,6 @@ let pp_file_status ppf = function
 
 let pp_fsck_report ppf r =
   Fmt.pf ppf "snapshot.bin:      %a@." pp_file_status r.fsck_snapshot;
-  (match r.fsck_fallback with
-  | Absent -> ()
-  | s -> Fmt.pf ppf "snapshot.bin.old:  %a (leftover fallback)@." pp_file_status s);
   List.iter
     (fun (k, st) ->
       Fmt.pf ppf "snapshot.bin.%d:    %a (generation)@." k pp_file_status st)

@@ -1,11 +1,10 @@
 (** Snapshot + journal composition: the persistence engine.
 
     A store lives in a directory holding [snapshot.bin] and
-    [journal.log], plus [snapshot.bin.1..N] — older snapshot
-    {e generations} kept for fallback — and, transiently,
-    [snapshot.bin.tmp] while a new snapshot is being written and
-    [snapshot.bin.old] while the previous one is still mid-promotion.
-    The client supplies a pure fold over its own state: opening a store
+    [journal.log], plus [snapshot.bin.1] and [snapshot.bin.2] — the two
+    previous snapshot {e generations}, newest first, kept for fallback —
+    and, transiently, [snapshot.bin.tmp] while a new snapshot is being
+    written. The client supplies a pure fold over its own state: opening a store
     loads the snapshot (if any) and replays the journal records appended
     since; {!append_group} adds a transaction; {!compact} writes a fresh
     snapshot and truncates the journal. All payloads are opaque strings —
@@ -23,13 +22,19 @@
     snapshot's is a leftover of a crash mid-compaction: its records are
     already folded into the snapshot, so it is skipped (and truncated)
     instead of replayed — correctness no longer rests on replay being
-    idempotent. Compaction keeps the previous snapshot as
-    [snapshot.bin.old] until the new snapshot and the truncated journal
-    are both durable (including directory fsyncs), then retires it into
-    generation slot 1 (older generations shift up, the oldest drops), so
-    a crash at any point leaves at least one intact snapshot/journal
-    pair — and media corruption of the newest snapshot still leaves the
-    generations to fall back on.
+    idempotent. Compaction shifts the generations up (the oldest drops),
+    renames [snapshot.bin] straight into generation slot 1, writes the
+    new snapshot (tmp file, fsync, rename, directory fsync) and
+    truncates the journal. A crash at any point leaves at least one
+    intact snapshot/journal pair: before the new snapshot lands, open
+    finds the previous one in slot 1 at the journal's epoch and
+    promotes it. Media corruption of the newest snapshot still leaves
+    the generations to fall back on.
+
+    {b Retired layout.} Earlier versions parked the previous snapshot
+    in [snapshot.bin.old] mid-compaction. A store still holding one is
+    refused ([Corrupt]) by {!open_dir} and {!fsck}, with nothing on
+    disk changed: it may hold the newest acknowledged epoch.
 
     {b Self-healing recovery.} Transient I/O errors (EINTR class) are
     retried with bounded backoff ({!Seed_util.Retry}); journal damage
@@ -68,18 +73,18 @@ type recovery = {
           and therefore unreplayable *)
   stale_journal : bool;
       (** a whole journal predating the snapshot's epoch was skipped *)
-  used_fallback : bool;
-      (** the state did not come from [snapshot.bin] *)
   snapshot_generation : int option;
-      (** which generation slot recovery fell back to, when it had to go
-          past the [snapshot.bin.old] fallback *)
+      (** the generation slot the state came from, when [snapshot.bin]
+          was missing or unreadable ([None]: from [snapshot.bin], or no
+          snapshot at all) *)
   io_retries : int;
       (** transient I/O errors absorbed by retry during open *)
   epoch : int;  (** the store's compaction epoch after open *)
 }
 
 val recovery_clean : recovery -> bool
-(** No bytes dropped or quarantined, no stale journal, no fallback used.
+(** No bytes dropped or quarantined, no stale journal, no generation
+    fallen back to.
     Absorbed transient retries do not make a recovery unclean. *)
 
 val pp_recovery : Format.formatter -> recovery -> unit
@@ -87,7 +92,6 @@ val pp_recovery : Format.formatter -> recovery -> unit
 val open_dir :
   ?io:Io.t ->
   ?sync:sync_policy ->
-  ?generations:int ->
   ?retry:Seed_util.Retry.policy ->
   ?sleep:(float -> unit) ->
   string ->
@@ -97,11 +101,12 @@ val open_dir :
     [(store, snapshot_payload, journal_records, recovery)] — everything
     needed to rebuild the client state, plus what recovery had to do to
     get there. [sync] (default [`Flush_only]) governs {!append};
-    [generations] (default 2) how many old snapshots {!compact} keeps;
     [retry]/[sleep] the transient-fault retry policy and its clock.
-    The journal is read before anything on disk changes: a journal in
-    the retired version-3 frame layout is refused ([Corrupt]) with the
-    store left byte for byte as it was. *)
+    The store is checked before anything on disk changes: a journal in
+    the retired version-3 frame layout, or a leftover
+    [snapshot.bin.old], is refused ([Corrupt]) with the store left byte
+    for byte as it was. Open removes a leftover [snapshot.bin.tmp] and
+    promotes the generation it recovered from back to [snapshot.bin]. *)
 
 val append : t -> string -> (unit, Seed_util.Seed_error.t) result
 (** [append t r] is [append_group t [r]]: a one-record transaction. *)
@@ -129,11 +134,11 @@ val write_stats : t -> (int * Commit_daemon.stats) list
 val compact : t -> snapshot:string -> (unit, Seed_util.Seed_error.t) result
 (** Atomically replaces the snapshot with [snapshot] (under the next
     epoch), retires the previous snapshot into generation slot 1
-    (shifting older generations up and dropping the oldest), and
-    truncates the journal. On failure the store is left on its
-    pre-compaction state and stays usable; a crash anywhere inside is
-    recovered by {!open_dir} via the epoch check and the fallback
-    chain. *)
+    (shifting slot 1 to slot 2 and dropping the old slot 2), and
+    truncates the journal. If the new snapshot cannot be written, the
+    previous one is renamed back and the store stays usable on its
+    pre-compaction state; a crash anywhere inside is recovered by
+    {!open_dir} via the epoch check and the generation slots. *)
 
 val journal_size : t -> int
 (** Records appended since the last compaction (this process's view). *)
@@ -158,7 +163,6 @@ type file_status =
 
 type fsck_report = {
   fsck_snapshot : file_status;
-  fsck_fallback : file_status;  (** [snapshot.bin.old] *)
   fsck_generations : (int * file_status) list;
       (** generation slots present on disk ([snapshot.bin.k]) *)
   fsck_tmp_leftover : bool;  (** [snapshot.bin.tmp] exists *)
@@ -188,10 +192,13 @@ val fsck :
 (** Reports the health of the store at [dir] without opening it for
     appending. With [repair]: truncates a torn tail, a stale journal or
     a dangling (uncommitted) transaction, rewrites the journal to
-    excise quarantined mid-file damage, removes leftover temporaries and
-    damaged generations, promotes [snapshot.bin.old] — or, failing that,
-    the newest intact generation — when [snapshot.bin] is missing or
-    unreadable, and quarantines an unreadable snapshot (as
-    [snapshot.bin.corrupt]) — after which {!open_dir} succeeds. *)
+    excise quarantined mid-file damage, removes a leftover
+    [snapshot.bin.tmp] and damaged generations, promotes the newest
+    intact generation when [snapshot.bin] is missing or unreadable, and
+    quarantines an unreadable snapshot (as [snapshot.bin.corrupt]) —
+    after which {!open_dir} succeeds. A store in a retired layout (a
+    version-3 journal, a leftover [snapshot.bin.old]) is refused
+    ([Corrupt]) with or without [repair], and nothing on disk changes.
+    All file access goes through [io] (default {!Io.real}). *)
 
 val pp_fsck_report : Format.formatter -> fsck_report -> unit

@@ -50,23 +50,19 @@ let test_crash_between_compact_steps () =
 
 module Faulty = Seed_storage.Faulty_io
 
+type lifecycle_step = Append of string list | Sync | Compact
+
 let test_crash_point_sweep () =
-  (* Inject an abort at every gated I/O step of a full
-     append -> sync -> compact -> append lifecycle and prove that
-     recovery always yields a database consistent with what had been
-     acknowledged at the moment of the crash. *)
-  let records = [ "a1"; "a2"; "a3" ] and tail = [ "b1"; "b2" ] in
-  let all = records @ tail in
-  (* run the workload, recording acknowledged records in [acked] as we
-     go (so the list survives a mid-run crash exception) *)
-  let run io dir acked =
-    let ack r = acked := !acked @ [ r ] in
-    let store, _, _, _ = ok (Store.open_dir ~io ~sync:`Always_fsync dir) in
-    List.iter (fun r -> ok (Store.append store r); ack r) records;
-    ok (Store.sync store);
-    ok (Store.compact store ~snapshot:(String.concat "\n" !acked));
-    List.iter (fun r -> ok (Store.append store r); ack r) tail;
-    Store.close store
+  (* Inject an abort at every gated I/O step of a store lifecycle and
+     prove that recovery always yields a database consistent with what
+     had been acknowledged at the moment of the crash. Two lifecycles:
+     one compaction of a journal-only store, and two compactions, the
+     second retiring an existing snapshot into generation slot 1. *)
+  let rec is_prefix xs ys =
+    match (xs, ys) with
+    | [], _ -> true
+    | x :: xs', y :: ys' -> x = y && is_prefix xs' ys'
+    | _ :: _, [] -> false
   in
   let recovered dir =
     let store, snap, records, report = ok (Store.open_dir dir) in
@@ -78,56 +74,93 @@ let test_crash_point_sweep () =
     in
     (from_snap @ records, report)
   in
-  let rec is_prefix xs ys =
-    match (xs, ys) with
-    | [], _ -> true
-    | x :: xs', y :: ys' -> x = y && is_prefix xs' ys'
-    | _ :: _, [] -> false
+  (* returns how many crash points recovered by skipping a stale
+     journal, and how many from a generation slot *)
+  let sweep ~name lifecycle =
+    let all =
+      List.concat_map (function Append rs -> rs | Sync | Compact -> []) lifecycle
+    in
+    (* run the workload, recording acknowledged records in [acked] as
+       we go (so the list survives a mid-run crash exception) *)
+    let run io dir acked =
+      let store, _, _, _ = ok (Store.open_dir ~io ~sync:`Always_fsync dir) in
+      List.iter
+        (function
+          | Append rs ->
+            List.iter
+              (fun r ->
+                ok (Store.append store r);
+                acked := !acked @ [ r ])
+              rs
+          | Sync -> ok (Store.sync store)
+          | Compact ->
+            ok (Store.compact store ~snapshot:(String.concat "\n" !acked)))
+        lifecycle;
+      Store.close store
+    in
+    (* dry run to count the gated I/O steps *)
+    let probe = Faulty.create () in
+    let full = ref [] in
+    run (Faulty.io probe) (tmp_dir ()) full;
+    Alcotest.(check (list string)) (name ^ ": dry run completes") all !full;
+    let total = Faulty.steps probe in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: sweep covers >= 15 crash points (got %d)" name total)
+      true (total >= 15);
+    let stale_seen = ref 0 and generation_seen = ref 0 in
+    for n = 0 to total - 1 do
+      let dir = tmp_dir () in
+      let f = Faulty.create ~crash_at:n ~torn:(n mod 2 = 0) () in
+      let acked = ref [] in
+      (try
+         run (Faulty.io f) dir acked;
+         Alcotest.fail (Printf.sprintf "%s: crash point %d did not fire" name n)
+       with Faulty.Crash _ -> ());
+      let state, report = recovered dir in
+      if report.Store.stale_journal then incr stale_seen;
+      if report.Store.snapshot_generation <> None then incr generation_seen;
+      (* with `Always_fsync every acknowledged record is durable, so the
+         recovered state must extend [acked]; it may additionally
+         contain the single record whose append was in flight when the
+         crash hit; and it can never contain anything the workload did
+         not write *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s, crash %d: nothing acknowledged lost (%s vs %s)"
+           name n (String.concat "," !acked) (String.concat "," state))
+        true (is_prefix !acked state);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s, crash %d: recovered [%s] is a workload prefix"
+           name n (String.concat "," state))
+        true (is_prefix state all);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s, crash %d: at most one in-flight record" name n)
+        true (List.length state <= List.length !acked + 1);
+      (* recovery is convergent: a second open is clean and identical *)
+      let state2, report2 = recovered dir in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s, crash %d: stable" name n) state state2;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s, crash %d: second open clean" name n)
+        true (Store.recovery_clean report2)
+    done;
+    (!stale_seen, !generation_seen)
   in
-  (* dry run to count the gated I/O steps *)
-  let probe = Faulty.create () in
-  let full = ref [] in
-  run (Faulty.io probe) (tmp_dir ()) full;
-  Alcotest.(check (list string)) "dry run completes" all !full;
-  let total = Faulty.steps probe in
-  Alcotest.(check bool)
-    (Printf.sprintf "sweep covers >= 15 crash points (got %d)" total)
-    true (total >= 15);
-  let stale_seen = ref 0 in
-  for n = 0 to total - 1 do
-    let dir = tmp_dir () in
-    let f = Faulty.create ~crash_at:n ~torn:(n mod 2 = 0) () in
-    let acked = ref [] in
-    (try
-       run (Faulty.io f) dir acked;
-       Alcotest.fail (Printf.sprintf "crash point %d did not fire" n)
-     with Faulty.Crash _ -> ());
-    let state, report = recovered dir in
-    if report.Store.stale_journal then incr stale_seen;
-    (* with `Always_fsync every acknowledged record is durable, so the
-       recovered state must extend [acked]; it may additionally contain
-       the single record whose append was in flight when the crash hit;
-       and it can never contain anything the workload did not write *)
-    Alcotest.(check bool)
-      (Printf.sprintf "crash %d: nothing acknowledged lost (%s vs %s)" n
-         (String.concat "," !acked) (String.concat "," state))
-      true (is_prefix !acked state);
-    Alcotest.(check bool)
-      (Printf.sprintf "crash %d: recovered [%s] is a workload prefix" n
-         (String.concat "," state))
-      true (is_prefix state all);
-    Alcotest.(check bool)
-      (Printf.sprintf "crash %d: at most one in-flight record" n)
-      true (List.length state <= List.length !acked + 1);
-    (* recovery is convergent: a second open is clean and identical *)
-    let state2, report2 = recovered dir in
-    Alcotest.(check (list string))
-      (Printf.sprintf "crash %d: stable" n) state state2;
-    Alcotest.(check bool)
-      (Printf.sprintf "crash %d: second open clean" n)
-      true (Store.recovery_clean report2)
-  done;
-  Alcotest.(check bool) "epoch-skip path exercised" true (!stale_seen >= 1)
+  let stale, _ =
+    sweep ~name:"one compaction"
+      [ Append [ "a1"; "a2"; "a3" ]; Sync; Compact; Append [ "b1"; "b2" ] ]
+  in
+  Alcotest.(check bool) "epoch-skip path exercised" true (stale >= 1);
+  let _, from_generation =
+    sweep ~name:"two compactions"
+      [
+        Append [ "a1"; "a2" ]; Compact; Append [ "b1"; "b2" ]; Compact;
+        Append [ "c1" ];
+      ]
+  in
+  (* a crash between retiring snapshot.bin into slot 1 and the new
+     snapshot's rename recovers from slot 1 *)
+  Alcotest.(check bool) "generation-slot recovery exercised" true
+    (from_generation >= 1)
 
 let test_flush_atomicity_crash_sweep () =
   (* The transaction-frame contract: a multi-item [Session.flush] goes

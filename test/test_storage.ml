@@ -664,6 +664,43 @@ let test_rename_failure_during_snapshot_write () =
   Alcotest.(check (list string)) "nothing lost" [ "r1"; "r2" ] records;
   Alcotest.(check bool) "clean" true (Store.recovery_clean report)
 
+let test_failed_compact_restores_snapshot () =
+  (* a compaction that fails on top of an existing snapshot must put
+     that snapshot back in place: first when the tmp -> snapshot.bin
+     rename fails (rename 0 retires snapshot.bin into slot 1, rename 1
+     is the tmp file's), then when that rename lands and only the
+     directory fsync behind it fails (fsync 0 is the tmp file's) *)
+  List.iter
+    (fun (what, f) ->
+      let dir = tmp_dir () in
+      let store, _, _, _ = ok (Store.open_dir dir) in
+      check_ok "r1" (Store.append store "r1");
+      check_ok "compact" (Store.compact store ~snapshot:"SNAP1");
+      check_ok "r2" (Store.append store "r2");
+      Store.close store;
+      let store, _, _, _ = ok (Store.open_dir ~io:(Faulty_io.io f) dir) in
+      check_err (what ^ ": compact fails")
+        (function Seed_util.Seed_error.Io_error _ -> true | _ -> false)
+        (Store.compact store ~snapshot:"SNAP2");
+      Alcotest.check snap_pair (what ^ ": previous snapshot back in place")
+        (Some (1, "SNAP1"))
+        (ok (Snapshot_file.read (Filename.concat dir "snapshot.bin")));
+      Alcotest.(check bool) (what ^ ": slot 1 empty again") false
+        (Sys.file_exists (Filename.concat dir "snapshot.bin.1"));
+      Alcotest.(check int) (what ^ ": epoch kept") 1 (Store.epoch store);
+      check_ok (what ^ ": r3") (Store.append store "r3");
+      Store.close store;
+      let _, snap, records, report = ok (Store.open_dir dir) in
+      Alcotest.(check (option string)) (what ^ ": snapshot") (Some "SNAP1") snap;
+      Alcotest.(check (list string)) (what ^ ": nothing lost") [ "r2"; "r3" ]
+        records;
+      Alcotest.(check bool) (what ^ ": clean") true
+        (Store.recovery_clean report))
+    [
+      ("rename", Faulty_io.create ~fail_rename:1 ());
+      ("directory fsync", Faulty_io.create ~fail_fsync:1 ());
+    ]
+
 let test_enospc_mid_journal_frame () =
   let dir = tmp_dir () in
   let f = Faulty_io.create ~enospc_write:1 () in
@@ -748,10 +785,25 @@ let test_fsck_torn_tail () =
   Alcotest.(check (list string)) "tail dropped" [] records;
   Alcotest.(check bool) "clean open" true (Store.recovery_clean report)
 
-let test_fsck_corrupt_snapshot_with_fallback () =
+(* Open, fsck and fsck --repair all refuse a store holding a
+   [snapshot.bin.old] (the retired compaction fallback), naming it, and
+   leave every byte of the directory as it was. *)
+let check_old_refused dir =
+  let before = dir_bytes dir in
+  let names_old = function
+    | Seed_util.Seed_error.Corrupt m -> contains m "snapshot.bin.old"
+    | _ -> false
+  in
+  check_err "open refuses" names_old (Store.open_dir dir);
+  check_err "fsck refuses" names_old (Store.fsck dir);
+  check_err "repair refuses" names_old (Store.fsck ~repair:true dir);
+  Alcotest.(check (list (pair string string))) "no byte of the store changed"
+    before (dir_bytes dir)
+
+let test_fsck_corrupt_snapshot_with_old () =
+  (* a corrupt snapshot next to an intact epoch-1 [snapshot.bin.old]:
+     the retired fallback is not promoted, the store is refused *)
   let dir = populated_dir () in
-  (* another compact leaves epoch 2; then corrupt the snapshot but
-     plant a valid fallback, as a crash between compact renames would *)
   let snap = Filename.concat dir "snapshot.bin" in
   check_ok "fallback"
     (Snapshot_file.write (Filename.concat dir "snapshot.bin.old") ~epoch:1
@@ -760,15 +812,7 @@ let test_fsck_corrupt_snapshot_with_fallback () =
   ignore (Unix.lseek fd 17 Unix.SEEK_SET);
   ignore (Unix.write fd (Bytes.of_string "?") 0 1);
   Unix.close fd;
-  let r = ok (Store.fsck dir) in
-  Alcotest.(check bool) "unhealthy" false r.Store.fsck_healthy;
-  Alcotest.(check bool) "snapshot damaged" true (is_damaged r.Store.fsck_snapshot);
-  Alcotest.(check bool) "fallback intact" true (is_intact r.Store.fsck_fallback);
-  let r = ok (Store.fsck ~repair:true dir) in
-  Alcotest.(check bool) "repaired" true r.Store.fsck_healthy;
-  let _, snap_payload, records, _ = ok (Store.open_dir dir) in
-  Alcotest.(check (option string)) "fallback data" (Some "SNAP") snap_payload;
-  Alcotest.(check (list string)) "journal matches fallback epoch" [ "r2" ] records
+  check_old_refused dir
 
 let test_fsck_corrupt_snapshot_no_fallback () =
   let dir = populated_dir () in
@@ -792,21 +836,24 @@ let test_fsck_corrupt_snapshot_no_fallback () =
   Alcotest.(check (option string)) "empty" None snap_payload;
   Alcotest.(check (list string)) "no records" [] records
 
-let test_fsck_leftover_tmp_and_fallback () =
+let test_fsck_leftover_tmp_and_old () =
   let dir = populated_dir () in
-  Out_channel.with_open_bin (Filename.concat dir "snapshot.bin.tmp")
-    (fun oc -> Out_channel.output_string oc "garbage");
-  check_ok "stale fallback"
-    (Snapshot_file.write (Filename.concat dir "snapshot.bin.old") ~epoch:0 "OLD");
+  let tmp = Filename.concat dir "snapshot.bin.tmp" in
+  Out_channel.with_open_bin tmp (fun oc ->
+      Out_channel.output_string oc "garbage");
+  let old = Filename.concat dir "snapshot.bin.old" in
+  check_ok "stale fallback" (Snapshot_file.write old ~epoch:0 "OLD");
+  (* the .old half: refused, the tmp file left in place too *)
+  check_old_refused dir;
+  Alcotest.(check bool) "tmp kept" true (Sys.file_exists tmp);
+  (* the .tmp half, once the .old file is gone *)
+  Sys.remove old;
   let r = ok (Store.fsck dir) in
   Alcotest.(check bool) "unhealthy" false r.Store.fsck_healthy;
   Alcotest.(check bool) "tmp seen" true r.Store.fsck_tmp_leftover;
   let r = ok (Store.fsck ~repair:true dir) in
   Alcotest.(check bool) "healthy" true r.Store.fsck_healthy;
-  Alcotest.(check bool) "tmp gone" false
-    (Sys.file_exists (Filename.concat dir "snapshot.bin.tmp"));
-  Alcotest.(check bool) "fallback gone" false
-    (Sys.file_exists (Filename.concat dir "snapshot.bin.old"))
+  Alcotest.(check bool) "tmp gone" false (Sys.file_exists tmp)
 
 let test_fsck_dangling_txn () =
   let dir = tmp_dir () in
@@ -927,23 +974,55 @@ let test_generation_rotation_on_compact () =
     (ok (Snapshot_file.read (Filename.concat dir "snapshot.bin.1")));
   Alcotest.check snap_pair "slot 2 rotated" (Some (1, "S1"))
     (ok (Snapshot_file.read (Filename.concat dir "snapshot.bin.2")));
-  (* default keeps 2 generations: a fourth compact drops S1 for good *)
+  (* the ring keeps two generations, so a fourth compact drops S1 *)
   let store, _, _, _ = ok (Store.open_dir dir) in
   check_ok "compact4" (Store.compact store ~snapshot:"S4");
   Store.close store;
   Alcotest.(check bool) "oldest dropped" false
     (Sys.file_exists (Filename.concat dir "snapshot.bin.3"))
 
+let test_leftover_old_refused () =
+  (* an earlier version crashed mid-compaction after parking
+     snapshot.bin in snapshot.bin.old: slot 1 has moved up to slot 2
+     and slot 1 is empty. Recovering from slot 2 would silently drop
+     the acknowledged epoch-2 record "c" as ahead of it. *)
+  let dir = generations_dir () in
+  let path name = Filename.concat dir name in
+  Sys.rename (path "snapshot.bin.1") (path "snapshot.bin.2");
+  Sys.rename (path "snapshot.bin") (path "snapshot.bin.old");
+  check_old_refused dir
+
+let test_fsck_missing_primary () =
+  (* a crash between retiring snapshot.bin into slot 1 and the new
+     snapshot's rename, with nothing in the journal: open would recover
+     from slot 1, so fsck must not call the store healthy *)
+  let dir = tmp_dir () in
+  let store, _, _, _ = ok (Store.open_dir dir) in
+  check_ok "a" (Store.append store "a");
+  check_ok "compact" (Store.compact store ~snapshot:"S1");
+  Store.close store;
+  Sys.rename (Filename.concat dir "snapshot.bin")
+    (Filename.concat dir "snapshot.bin.1");
+  let r = ok (Store.fsck dir) in
+  Alcotest.(check bool) "unhealthy" false r.Store.fsck_healthy;
+  let r = ok (Store.fsck ~repair:true dir) in
+  Alcotest.(check bool) "healthy after repair" true r.Store.fsck_healthy;
+  Alcotest.(check bool) "repair names the generation" true
+    (List.exists (fun m -> contains m "generation 1") r.Store.fsck_repairs);
+  let _, snap, records, report = ok (Store.open_dir dir) in
+  Alcotest.(check (option string)) "generation promoted" (Some "S1") snap;
+  Alcotest.(check (list string)) "empty journal" [] records;
+  Alcotest.(check bool) "clean open" true (Store.recovery_clean report)
+
 let test_generation_fallback_on_open () =
-  (* the newest snapshot is corrupt and there is no .old: recovery must
-     walk back to generation 1, quarantine the damaged primary, and
+  (* the newest snapshot is corrupt: recovery must walk back to
+     generation 1, quarantine the damaged primary, and
      drop the now-unreplayable epoch-2 journal records *)
   let dir = generations_dir () in
   corrupt_file (Filename.concat dir "snapshot.bin");
   let store, snap, records, report = ok (Store.open_dir dir) in
   Alcotest.(check (option string)) "generation data" (Some "S1") snap;
   Alcotest.(check (list string)) "ahead records dropped" [] records;
-  Alcotest.(check bool) "fallback flagged" true report.Store.used_fallback;
   Alcotest.(check (option int)) "generation flagged" (Some 1)
     report.Store.snapshot_generation;
   Alcotest.(check int) "ahead counted" 1 report.Store.ahead_dropped;
@@ -1361,6 +1440,8 @@ let () =
         [
           tc "fsync failure on append" test_fsync_failure_on_append;
           tc "rename failure in snapshot write" test_rename_failure_during_snapshot_write;
+          tc "failed compact restores snapshot"
+            test_failed_compact_restores_snapshot;
           tc "enospc mid-frame" test_enospc_mid_journal_frame;
           tc "crash during tmp write" test_crash_during_snapshot_tmp_write;
         ] );
@@ -1368,9 +1449,10 @@ let () =
         [
           tc "healthy" test_fsck_healthy;
           tc "torn tail" test_fsck_torn_tail;
-          tc "corrupt snapshot with fallback" test_fsck_corrupt_snapshot_with_fallback;
+          tc "corrupt snapshot with .old" test_fsck_corrupt_snapshot_with_old;
           tc "corrupt snapshot without fallback" test_fsck_corrupt_snapshot_no_fallback;
-          tc "leftover tmp and fallback" test_fsck_leftover_tmp_and_fallback;
+          tc "leftover tmp and .old" test_fsck_leftover_tmp_and_old;
+          tc "leftover .old refused" test_leftover_old_refused;
           tc "dangling transaction" test_fsck_dangling_txn;
         ] );
       ( "self-healing",
@@ -1382,6 +1464,7 @@ let () =
           tc "generation rotation on compact" test_generation_rotation_on_compact;
           tc "generation fallback on open" test_generation_fallback_on_open;
           tc "fsck promotes generation" test_fsck_promotes_generation;
+          tc "fsck sees a missing primary" test_fsck_missing_primary;
           tc "transient reads absorbed" test_transient_reads_absorbed;
           tc "flip read double-checked" test_flip_read_double_checked;
           tc "short read double-checked" test_short_read_double_checked;
