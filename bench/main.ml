@@ -572,6 +572,9 @@ let text () =
   in
   let bench_op ~iters f =
     ignore (f ());
+    (* start each arm from a collected heap, so neither pays the major
+       GC debt the previous one left behind *)
+    Gc.full_major ();
     let _, t =
       Report.time_of (fun () ->
           for _ = 1 to iters do
@@ -605,8 +608,19 @@ let text () =
             | Q.Scan _ -> "scan"
           in
           let select_iters = if plan = "scan" then scan_iters else 200 in
-          let indexed = bench_op ~iters:select_iters (fun () -> Q.select v p) in
-          let scan = bench_op ~iters:scan_iters (fun () -> naive_select v p) in
+          (* alternate the arms and keep each one's median: a single
+             back-to-back pair flips with the GC's timing *)
+          let reps = 5 in
+          let indexed = Array.make reps 0.0 and scan = Array.make reps 0.0 in
+          for r = 0 to reps - 1 do
+            indexed.(r) <- bench_op ~iters:select_iters (fun () -> Q.select v p);
+            scan.(r) <- bench_op ~iters:scan_iters (fun () -> naive_select v p)
+          done;
+          let median a =
+            Array.sort Float.compare a;
+            a.(Array.length a / 2)
+          in
+          let indexed = median indexed and scan = median scan in
           let hits = List.length (Q.select v p) in
           rows :=
             [
@@ -627,12 +641,22 @@ let text () =
               n key plan hits (indexed *. 1e6) (scan *. 1e6) (scan /. indexed)
             :: !json)
         ops;
-      (* wholesale build: what a branch switch or reopen pays *)
-      let _, rebuild_t =
-        Report.time_of (fun () ->
-            DB.set_text_index_enabled db false;
-            DB.set_text_index_enabled db true)
+      (* wholesale build: what a branch switch or reopen pays, and the
+         live heap it adds, measured by the GC *)
+      let live_bytes () =
+        Gc.full_major ();
+        8 * (Gc.stat ()).Gc.live_words
       in
+      DB.set_text_index_enabled db false;
+      let live_off = live_bytes () in
+      let _, rebuild_t =
+        Report.time_of (fun () -> DB.set_text_index_enabled db true)
+      in
+      let heap = live_bytes () - live_off in
+      let text_bytes = ref 0 in
+      for i = 0 to n - 1 do
+        text_bytes := !text_bytes + String.length (Workloads.text_body ~n i)
+      done;
       let st = DB.stats db in
       rows :=
         [
@@ -642,15 +666,18 @@ let text () =
           string_of_int st.DB.st_text_docs;
           Report.ms rebuild_t;
           "-";
-          Printf.sprintf "%d KiB" (st.DB.st_text_bytes / 1024);
+          Printf.sprintf "%d KiB (heap %.1fx text)" (st.DB.st_text_bytes / 1024)
+            (float_of_int heap /. float_of_int !text_bytes);
         ]
         :: !rows;
       json :=
         Printf.sprintf
           "    {\"case\": \"build\", \"docs\": %d, \"rebuild_us\": %.2f, \
-           \"trigrams\": %d, \"postings\": %d, \"bytes\": %d}"
+           \"trigrams\": %d, \"postings\": %d, \"bytes\": %d, \
+           \"heap_bytes\": %d, \"text_bytes\": %d, \"heap_per_text\": %.2f}"
           n (rebuild_t *. 1e6) st.DB.st_text_trigrams st.DB.st_text_postings
-          st.DB.st_text_bytes
+          st.DB.st_text_bytes heap !text_bytes
+          (float_of_int heap /. float_of_int !text_bytes)
         :: !json;
       (* incremental maintenance: set_value with the index on vs off *)
       let touches = min n 2_000 in

@@ -75,8 +75,11 @@ type t = {
   mutable vc_hit_count : int;
   mutable vc_miss_count : int;
   mutable vc_eviction_count : int;
-  mutable text_hit_count : int;  (* text predicates answered from the index *)
-  mutable text_fallback_count : int;  (* text predicates that had to scan *)
+  (* text predicates answered from the index / that had to scan; shared
+     with every frozen handle, like [snapshot_count], so reads on
+     snapshots count toward the database's totals *)
+  text_hit_count : int Atomic.t;
+  text_fallback_count : int Atomic.t;
   procedures : (string, proc) Hashtbl.t;
   mutable proc_depth : int;
   mutable transition_rules :
@@ -131,8 +134,8 @@ let create schema =
     vc_hit_count = 0;
     vc_miss_count = 0;
     vc_eviction_count = 0;
-    text_hit_count = 0;
-    text_fallback_count = 0;
+    text_hit_count = Atomic.make 0;
+    text_fallback_count = Atomic.make 0;
     procedures = Hashtbl.create 8;
     proc_depth = 0;
     transition_rules = [];
@@ -176,8 +179,8 @@ let freeze t =
     vc_hit_count = 0;
     vc_miss_count = 0;
     vc_eviction_count = 0;
-    text_hit_count = 0;
-    text_fallback_count = 0;
+    text_hit_count = t.text_hit_count;
+    text_fallback_count = t.text_fallback_count;
     procedures = t.procedures;
     proc_depth = 0;
     transition_rules = [];
@@ -295,6 +298,17 @@ let text_doc_of_state (item : Item.t) (state : Item.state option) =
     | Some _ | None -> None)
   | _ -> None
 
+(* The bulk build every wholesale (re)index goes through: load, branch
+   switch and re-enable. *)
+let build_text_index items =
+  Text_index.build (fun add ->
+      Ident.Map.iter
+        (fun _ (it : Item.t) ->
+          match text_doc_of_state it it.Item.current with
+          | Some (path, s) -> add it.Item.id ~path s
+          | None -> ())
+        items)
+
 let root_text_index r (item : Item.t) (state : Item.state option) =
   match r.r_text with
   | None -> r
@@ -309,8 +323,7 @@ let root_text_unindex r (item : Item.t) (state : Item.state option) =
   | None -> r
   | Some tx -> (
     match text_doc_of_state item state with
-    | Some (_, s) ->
-      { r with r_text = Some (Text_index.remove_doc tx item.Item.id s) }
+    | Some _ -> { r with r_text = Some (Text_index.remove_doc tx item.Item.id) }
     | None -> r)
 
 (* Enter [state]'s extent membership for [item] into [r]; no-op for
@@ -589,8 +602,8 @@ let rebuild_state_indexes t =
       r_rel_extent = Smap.empty;
       r_rel_pattern_extent = Smap.empty;
       r_dependent_extent = Ident.Set.empty;
-      (* reset but preserve enabledness *)
-      r_text = Option.map (fun _ -> Text_index.empty) r.r_text;
+      (* off during the sweep; rebuilt in bulk below if enabled *)
+      r_text = None;
     }
   in
   let r =
@@ -605,7 +618,10 @@ let rebuild_state_indexes t =
         | _ -> r)
       r.r_items r
   in
-  t.working <- r
+  t.working <-
+    (match t.working.r_text with
+    | None -> r
+    | Some _ -> { r with r_text = Some (build_text_index r.r_items) })
 
 (* ------------------------------------------------------------------ *)
 (* Materialized version views                                           *)
@@ -796,22 +812,14 @@ let ve_state ve id = Ident.Tbl.find_opt ve.ve_states id
 (* maintained by the same hooks ([root_index_state] /                   *)
 (* [root_unindex_state]), so every state replacement — create, value    *)
 (* update, logical delete, re-classification, rollback by root swap —   *)
-(* keeps it exact, and [rebuild_state_indexes] rebuilds it wholesale on *)
+(* keeps it exact, and [rebuild_state_indexes] builds it in bulk on     *)
 (* branch switch and load. Version views get their own frozen index,    *)
-(* built lazily from the materialized states and cached on the          *)
-(* version extent (handle-private, like the extent itself).             *)
+(* built in bulk from the materialized states on first use and cached   *)
+(* on the version extent (handle-private, like the extent itself).      *)
 (* ------------------------------------------------------------------ *)
 
 let text_index t = t.working.r_text
 let text_index_enabled t = t.working.r_text <> None
-
-let build_text_index items =
-  Ident.Map.fold
-    (fun _ (it : Item.t) tx ->
-      match text_doc_of_state it it.Item.current with
-      | Some (path, s) -> Text_index.add_doc tx it.Item.id ~path s
-      | None -> tx)
-    items Text_index.empty
 
 let rebuilt_text_index t = build_text_index t.working.r_items
 
@@ -824,9 +832,11 @@ let set_text_index_enabled t on =
       { t.working with r_text = Some (build_text_index t.working.r_items) }
 
 let text_stats t = Option.map Text_index.stats t.working.r_text
-let note_text_hit t = t.text_hit_count <- t.text_hit_count + 1
-let note_text_fallback t = t.text_fallback_count <- t.text_fallback_count + 1
-let text_counters t = (t.text_hit_count, t.text_fallback_count)
+let note_text_hit t = Atomic.incr t.text_hit_count
+let note_text_fallback t = Atomic.incr t.text_fallback_count
+
+let text_counters t =
+  (Atomic.get t.text_hit_count, Atomic.get t.text_fallback_count)
 
 let ve_text_index ve =
   match ve.ve_text with
@@ -835,15 +845,16 @@ let ve_text_index ve =
     (* mirror [text_doc_of_state]: any item holding an [Obj] state has a
        non-relationship body, so the body check is implied here *)
     let tx =
-      Ident.Tbl.fold
-        (fun id s tx ->
-          match s with
-          | Item.Obj o when not o.Item.deleted -> (
-            match o.Item.value with
-            | Some (Value.String str) -> Text_index.add_doc tx id ~path:o.Item.cls str
-            | Some _ | None -> tx)
-          | Item.Obj _ | Item.Rel _ -> tx)
-        ve.ve_states Text_index.empty
+      Text_index.build (fun add ->
+          Ident.Tbl.iter
+            (fun id s ->
+              match s with
+              | Item.Obj o when not o.Item.deleted -> (
+                match o.Item.value with
+                | Some (Value.String str) -> add id ~path:o.Item.cls str
+                | Some _ | None -> ())
+              | Item.Obj _ | Item.Rel _ -> ())
+            ve.ve_states)
     in
     ve.ve_text <- Some tx;
     tx

@@ -250,7 +250,8 @@ val find_id_by_name : t -> string -> Ident.t option
 
 val rebuild_state_indexes : t -> unit
 (** Recompute the name, inheritor, and extent indexes from current item
-    states (after a branch switch or a load). The version cache is
+    states, and build the text index (when enabled) in bulk, after a
+    branch switch or a load. The version cache is
     untouched: it depends only on item histories and the version tree,
     neither of which a branch switch changes. *)
 
@@ -318,9 +319,9 @@ val ve_state : version_extent -> Ident.t -> Item.state option
     by the same hooks: every current-state replacement — create, value
     update, logical delete (cascade included), re-classification, and
     rollback by root swap — keeps it exact over the live object states
-    carrying string values, and {!rebuild_state_indexes} rebuilds it
-    wholesale on branch switch and load. Being persistent, it is frozen
-    for free in every published root and MVCC snapshot. *)
+    carrying string values, and {!rebuild_state_indexes} builds it in
+    bulk on branch switch and load. Nothing in it is ever mutated, so it
+    is frozen for free in every published root and MVCC snapshot. *)
 
 val text_index : t -> Text_index.t option
 (** The current state's trigram index; [None] when disabled — the
@@ -330,17 +331,18 @@ val text_index_enabled : t -> bool
 
 val set_text_index_enabled : t -> bool -> unit
 (** Disabling drops the index from the working root; re-enabling
-    rebuilds it from the item table in one sweep. *)
+    builds it from the item table in bulk. *)
 
 val rebuilt_text_index : t -> Text_index.t
-(** A from-scratch index over the current item states — what the
+(** A bulk-built index over the current item states — what the
     incrementally maintained one must equal (soak invariant). *)
 
 val text_stats : t -> Text_index.stats option
 
 val note_text_hit : t -> unit
-(** Count a text predicate answered from the index (handle-private,
-    like the version-cache counters). *)
+(** Count a text predicate answered from the index. The counters are
+    shared with every snapshot of the database, like the snapshot
+    counter, so reads on snapshots count toward its totals. *)
 
 val note_text_fallback : t -> unit
 (** Count a text predicate that had to scan (index disabled or needle

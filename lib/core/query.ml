@@ -448,7 +448,17 @@ let by_name v (a : Item.t) (b : Item.t) =
   | None, Some _ -> 1
   | None, None -> Ident.compare a.Item.id b.Item.id
 
-let scan_objects v p = View.all_objects v |> List.filter (test p v)
+(* The scan fallback. On the current view it folds the item table
+   directly, as a naive scan would: listing the live objects first
+   would sort and look up every one of them before testing any. *)
+let scan_objects v p =
+  match View.version v with
+  | None ->
+    Db_state.fold_items (View.db v) ~init:[] ~f:(fun acc it ->
+        match it.Item.body with
+        | Item.Independent when View.live_normal v it && test p v it -> it :: acc
+        | Item.Independent | Item.Dependent _ | Item.Relationship -> acc)
+  | Some _ -> View.all_objects v |> List.filter (test p v)
 
 let select v p =
   let hits =

@@ -1,17 +1,20 @@
 (** Trigram positional index over string values — the access path behind
     [Query.contains]/[Query.matches] (DESIGN.md §14).
 
-    Each indexed string is owned by exactly one carrier item; the index
-    maps every overlapping 3-byte substring to a posting map
-    [carrier id -> sorted occurrence offsets]. Containment is answered
-    by intersecting the carrier sets of the needle's trigrams and then
-    verifying positional alignment, which is exact: a carrier survives
-    iff the literal needle occurs in its text, so no document string is
-    ever fetched at query time.
+    Each indexed string (a document) is owned by exactly one carrier
+    item. Containment is answered by intersecting the carriers of the
+    needle's trigrams and then verifying positional alignment, which is
+    exact: a carrier survives iff the literal needle occurs in its text.
 
-    The structure is persistent (built from [Smap]/[Ident.Map]), so it
-    rides inside the copy-on-write database root: snapshots freeze it
-    for free, and transaction rollback restores it by root swap. *)
+    The index is an immutable {e base} — flat arrays of documents and one
+    sorted run of packed (document, offset) entries per trigram, built in
+    one bulk pass — plus a small persistent {e delta}: the documents
+    written since the last merge and a tombstone set of stale base
+    carriers. A write updates only the delta; once the delta passes a
+    fixed fraction of the base it is merged into a new base in one
+    linear pass. Nothing reachable from a value is ever mutated, so the
+    index rides inside the copy-on-write database root: snapshots freeze
+    it for free, and transaction rollback restores it by root swap. *)
 
 open Seed_util
 
@@ -21,7 +24,7 @@ val empty : t
 val is_empty : t -> bool
 
 val doc_count : t -> int
-(** Number of indexed carriers (documents). *)
+(** Number of indexed carriers (documents). O(1). *)
 
 val path_of : t -> Ident.t -> string option
 (** The attribute (class) path recorded for a carrier. *)
@@ -30,22 +33,28 @@ val min_needle : int
 (** Shortest needle the index can answer (3 bytes — one trigram).
     Shorter needles must fall back to a scan. *)
 
-val add_doc : t -> Ident.t -> path:string -> string -> t
-(** Index a carrier's string value under its class path. The carrier
-    must not already be indexed (callers remove the old document
-    first). Strings shorter than 3 bytes contribute no postings but are
-    still counted as documents. *)
+val build : ((Ident.t -> path:string -> string -> unit) -> unit) -> t
+(** [build feed] indexes every document [feed] hands to its callback
+    (in any order, each carrier once) as one bulk-built base with an
+    empty delta. *)
 
-val remove_doc : t -> Ident.t -> string -> t
-(** Drop a carrier, given the exact string that was indexed for it.
-    No-op when the carrier is not indexed. *)
+val add_doc : t -> Ident.t -> path:string -> string -> t
+(** Index a carrier's string value under its class path, replacing the
+    carrier's previous document if it has one. Strings shorter than 3
+    bytes contribute no trigrams but are still counted as documents.
+    O(log n) plus, when the delta passes the merge point, a merge. *)
+
+val remove_doc : t -> Ident.t -> t
+(** Drop a carrier. No-op when the carrier is not indexed. *)
 
 (** {1 Queries} *)
 
 type probe = {
   pr_trigrams : int;  (** distinct needle trigrams consulted *)
-  pr_postings : int;  (** posting entries across their lists *)
-  pr_candidates : int;  (** carriers surviving the intersection *)
+  pr_postings : int;  (** base carriers across their runs *)
+  pr_candidates : int;
+      (** carriers surviving the intersection, plus the delta documents
+          scanned *)
   pr_verified : int;  (** carriers surviving positional verification *)
 }
 
@@ -59,29 +68,39 @@ val query_probe : t -> ?path:string -> string -> Ident.Set.t * probe
     renders. *)
 
 val estimate : t -> string -> int
-(** Upper bound on the carriers {!query} would have to verify: the size
-    of the needle's rarest posting list (0 when one of its trigrams is
-    absent). Costs one lookup per needle trigram — the planner consults
-    it to skip needles so common that walking their postings would cost
-    more than the scan it replaces. Raises [Invalid_argument] below
-    {!min_needle}. *)
+(** Upper bound on the carriers {!query} would have to verify: over the
+    needle's trigrams, the fewest base carriers of one trigram, plus the
+    delta's size when that trigram occurs in the delta (0 when a trigram
+    occurs nowhere). Exact while the delta is empty. Costs one lookup
+    per needle trigram — the planner consults it to skip needles so
+    common that walking their runs would cost more than the scan it
+    replaces. Raises [Invalid_argument] below {!min_needle}. *)
 
 val string_contains : string -> string -> bool
 (** [string_contains hay needle] — the scan-side containment test the
-    index is equivalent to. Empty needles match everything. *)
+    index is equivalent to. Empty needles match everything. Allocates
+    nothing. *)
 
 (** {1 Stats and equality} *)
 
 type stats = {
-  trigrams : int;
+  trigrams : int;  (** distinct trigrams in the base *)
   postings : int;
-  positions : int;
+      (** (carrier, trigram) pairs in the base, stale ones included
+          until the next merge *)
+  positions : int;  (** trigram occurrences in the base, likewise *)
   docs : int;
-  bytes : int;  (** rough resident-size estimate *)
+  delta : int;  (** delta documents plus tombstones awaiting a merge *)
+  merges : int;  (** merges since the last bulk build *)
+  bytes : int;
+      (** resident size: the base arrays' actual lengths, plus an
+          estimate for the delta's map and set nodes *)
 }
 
 val stats : t -> stats
 
 val equal : t -> t -> bool
-(** Structural equality — used by the soak harness to check that the
-    incrementally maintained index matches a wholesale rebuild. *)
+(** Logical equality: the same documents under the same paths, however
+    they are split between base and delta — used by the soak harness to
+    check that the incrementally maintained index matches a bulk
+    build. *)

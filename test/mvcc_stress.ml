@@ -198,6 +198,12 @@ let predicate_pool =
       Q.(in_class "Data" &&& is_a "Thing");
       Q.(in_class "InputData" ||| in_class "OutputData");
       Q.(not_ (is_a "Data"));
+      (* trigram probes on snapshots while the writer keeps merging the
+         text index's delta into new bases; "v4" is below trigram length
+         and scans *)
+      Q.contains "" "v42";
+      Q.contains "" "v4";
+      Q.(is_a "Thing" &&& contains "" "v1");
     ]
 
 let planner_agrees v =

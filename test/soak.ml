@@ -236,6 +236,18 @@ let text_index_consistent db =
   | None -> true
   | Some tx -> Seed_core.Text_index.equal tx (Db_state.rebuilt_text_index st)
 
+(* Delta-into-base merges the live workloads crossed, summed over the
+   run: the run fails if none did, so the consistency check above has
+   covered the merge path. *)
+let merges_crossed = ref 0
+
+let count_merges db =
+  match Db_state.text_index (DB.raw db) with
+  | None -> ()
+  | Some tx ->
+    merges_crossed :=
+      !merges_crossed + (Seed_core.Text_index.stats tx).Seed_core.Text_index.merges
+
 (* Runs the whole workload against [dir] through [io]. [acked] always
    holds the fingerprint of the last acknowledged flush; [pending] the
    fingerprint an in-flight flush would establish. A [Faulty.Crash]
@@ -282,6 +294,7 @@ let run ~io ~dir ~steps ~acked ~pending =
     steps;
   if not (text_index_consistent db) then
     invalid_arg "soak: incrementally maintained text index diverged";
+  count_merges db;
   Persist.Session.close s
 
 (* ------------------------------------------------------------------ *)
@@ -487,5 +500,11 @@ let () =
    with Soak_failure m ->
      Printf.eprintf "SOAK FAILURE: %s\n%!" m;
      exit 1);
+  if !merges_crossed = 0 then begin
+    Printf.eprintf "SOAK FAILURE: no workload crossed a text-index merge\n%!";
+    exit 1
+  end;
   Printf.printf
-    "soak OK: %d iterations (seed %d), all invariants held\n%!" !iters !seed
+    "soak OK: %d iterations (seed %d), %d text-index merges crossed, all \
+     invariants held\n%!"
+    !iters !seed !merges_crossed

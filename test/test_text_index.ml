@@ -337,7 +337,7 @@ let test_structure () =
     (Ident.Set.cardinal (query t ~path:"Q" "recover"));
   Alcotest.(check int) "wrong path" 0
     (Ident.Set.cardinal (query t ~path:"Z" "recover"));
-  let t = remove_doc t (id 2) "recover quickly" in
+  let t = remove_doc t (id 2) in
   Alcotest.(check int) "after remove" 1
     (Ident.Set.cardinal (query t "recover"));
   let s = stats t in
@@ -420,6 +420,281 @@ let test_version_views () =
   Alcotest.(check (list string)) "current sees new text" [ "A" ]
     (names cur_v (Q.contains "" "new words"))
 
+(* ------------------------------------------------------------------ *)
+(* Scan-side containment                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The plain definition: some offset where the needle's bytes appear. *)
+let reference_contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
+
+let prop_string_contains =
+  let small = QCheck2.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_bound 12)) in
+  qcheck_case ~count:500 "string_contains = reference definition"
+    QCheck2.Gen.(pair small small)
+    (fun (hay, needle) ->
+      Text_index.string_contains hay needle = reference_contains hay needle
+      (* every substring of the haystack is found *)
+      && (String.length hay = 0
+         || Text_index.string_contains hay
+              (String.sub hay (String.length hay / 3) (String.length hay / 2))))
+
+(* ------------------------------------------------------------------ *)
+(* Base, delta and the merge boundary                                   *)
+(* ------------------------------------------------------------------ *)
+
+let merges tx = (Text_index.stats tx).Text_index.merges
+let set_ids s = List.map Ident.to_int (Ident.Set.elements s)
+
+(* A bulk-built index over [n] documents "doc <i> ..." under path "P". *)
+let base_of n =
+  Text_index.build (fun add ->
+      for i = 1 to n do
+        add (Ident.of_int i) ~path:"P" (Printf.sprintf "doc %d plain words" i)
+      done)
+
+(* Rewrite documents 1, 2, ... until the index merges: the last index
+   before the merge, the first one after it, and the id whose rewrite
+   merged. *)
+let write_until_merge tx =
+  let rec go tx i =
+    let tx' =
+      Text_index.add_doc tx (Ident.of_int i) ~path:"P"
+        (Printf.sprintf "doc %d rewritten words" i)
+    in
+    if merges tx' > merges tx then (tx, tx', i) else go tx' (i + 1)
+  in
+  go tx 1
+
+(* [base_of n] with documents 1..k rewritten, as one bulk build. *)
+let rewritten_of n k =
+  Text_index.build (fun add ->
+      for i = 1 to n do
+        add (Ident.of_int i) ~path:"P"
+          (Printf.sprintf
+             (if i <= k then "doc %d rewritten words" else "doc %d plain words")
+             i)
+      done)
+
+let test_tombstoned_and_live () =
+  let tx = base_of 200 in
+  Alcotest.(check int) "bulk build has no delta" 0 (Text_index.stats tx).Text_index.delta;
+  (* id 7 is in the base; rewriting it tombstones the base entry and
+     puts the new text in the delta *)
+  let tx = Text_index.add_doc tx (Ident.of_int 7) ~path:"Q" "fresh alarm text" in
+  Alcotest.(check int) "no merge yet" 0 (merges tx);
+  Alcotest.(check int) "a tombstone plus a delta doc" 2 (Text_index.stats tx).Text_index.delta;
+  Alcotest.(check int) "doc count unchanged" 200 (Text_index.doc_count tx);
+  Alcotest.(check (list int)) "old text gone" [] (set_ids (Text_index.query tx "doc 7 plain"));
+  Alcotest.(check (list int)) "new text found" [ 7 ] (set_ids (Text_index.query tx "alarm"));
+  Alcotest.(check (option string)) "path from the delta" (Some "Q")
+    (Text_index.path_of tx (Ident.of_int 7));
+  Alcotest.(check (list int)) "path-scoped base probe skips the stale entry" []
+    (set_ids (Text_index.query tx ~path:"P" "doc 7 plain"));
+  (* removing it drops the delta doc; the base entry stays tombstoned *)
+  let gone = Text_index.remove_doc tx (Ident.of_int 7) in
+  Alcotest.(check int) "one fewer doc" 199 (Text_index.doc_count gone);
+  Alcotest.(check (option string)) "no path" None (Text_index.path_of gone (Ident.of_int 7));
+  Alcotest.(check (list int)) "neither text" []
+    (set_ids (Ident.Set.union (Text_index.query gone "alarm") (Text_index.query gone "doc 7 plain")));
+  Alcotest.(check bool) "= a build without it" true
+    (Text_index.equal gone
+       (Text_index.build (fun add ->
+            for i = 1 to 200 do
+              if i <> 7 then
+                add (Ident.of_int i) ~path:"P" (Printf.sprintf "doc %d plain words" i)
+            done)))
+
+let test_snapshot_across_merge () =
+  let before, after, _ = write_until_merge (base_of 300) in
+  let probes = [ "plain words"; "rewritten"; "doc 1 "; "doc 29"; "words" ] in
+  let answers tx = List.map (fun n -> set_ids (Text_index.query tx n)) probes in
+  let pinned = answers before in
+  Alcotest.(check bool) "the pinned index has a delta" true
+    ((Text_index.stats before).Text_index.delta > 0);
+  Alcotest.(check int) "the merge emptied the delta" 0 (Text_index.stats after).Text_index.delta;
+  let _ = write_until_merge after in
+  Alcotest.(check (list (list int))) "pinned index answers as before" pinned (answers before)
+
+let test_equal_is_logical () =
+  let unmerged, merged, k = write_until_merge (base_of 100) in
+  let rebuilt = rewritten_of 100 k in
+  Alcotest.(check bool) "merged = bulk build" true (Text_index.equal merged rebuilt);
+  Alcotest.(check bool) "unmerged differs by one write" false
+    (Text_index.equal unmerged rebuilt);
+  Alcotest.(check bool) "unmerged = its own bulk build" true
+    (Text_index.equal unmerged (rewritten_of 100 (k - 1)))
+
+let test_wide_fields () =
+  (* ids far beyond any packed width, and a text whose offsets need 18
+     bits: both must be indexed exactly, before and after merges *)
+  let big = [ max_int - 3; 1 lsl 40; 1 lsl 20; 5 ] in
+  let long = String.make 200_000 'x' ^ "needle at the far end" in
+  let docs = List.map (fun i -> (i, if i = 1 lsl 40 then long else Printf.sprintf "short %d text" i)) big in
+  let built =
+    Text_index.build (fun add ->
+        List.iter (fun (i, s) -> add (Ident.of_int i) ~path:"P" s) docs)
+  in
+  let incremental =
+    List.fold_left
+      (fun tx (i, s) -> Text_index.add_doc tx (Ident.of_int i) ~path:"P" s)
+      Text_index.empty docs
+  in
+  List.iter
+    (fun (what, tx) ->
+      Alcotest.(check (list int)) (what ^ ": far offset") [ 1 lsl 40 ]
+        (set_ids (Text_index.query tx "needle at the far end"));
+      Alcotest.(check (list int)) (what ^ ": wide ids") [ max_int - 3 ]
+        (set_ids (Text_index.query tx (Printf.sprintf "short %d" (max_int - 3))));
+      Alcotest.(check (list int)) (what ^ ": all short") (List.sort compare [ max_int - 3; 1 lsl 20; 5 ])
+        (set_ids (Text_index.query tx "text"));
+      Alcotest.(check (option string)) (what ^ ": path") (Some "P")
+        (Text_index.path_of tx (Ident.of_int (max_int - 3))))
+    [ ("bulk", built); ("incremental", incremental) ];
+  Alcotest.(check bool) "incremental merged" true (merges incremental > 0);
+  Alcotest.(check bool) "incremental = bulk" true (Text_index.equal incremental built)
+
+(* Packed entries put a document's offsets right below the next rank's:
+   an aligned start near the end of one text must not borrow the next
+   text's trigrams. "bcdabc" holds "abc" at 3 and "bcd" (at 0); with
+   offsets packed in 2 bits, "bcd" at 3 + 1 would read as the next
+   document's "bcd" at 0. *)
+let test_document_boundary () =
+  let tx =
+    Text_index.build (fun add ->
+        add (Ident.of_int 1) ~path:"P" "bcdabc";
+        add (Ident.of_int 2) ~path:"P" "bcdx")
+  in
+  Alcotest.(check (list int)) "no match across the boundary" []
+    (set_ids (Text_index.query tx "abcd"));
+  Alcotest.(check (list int)) "the real occurrence" [ 1 ]
+    (set_ids (Text_index.query tx "dabc"))
+
+(* Text_index against a plain map id -> (path, text): a bulk-built base
+   of up to 300 documents, then adds and removes — enough for deltas
+   with tombstones, re-added ids and merges at any point. *)
+type text_op = Put of int * int * bool | Drop of int
+
+let prop_model =
+  let open QCheck2.Gen in
+  let op =
+    frequency
+      [
+        (3, map3 (fun id t p -> Put (id, t, p)) (int_range 1 320) (int_bound 40) bool);
+        (1, map (fun id -> Drop id) (int_range 1 320));
+      ]
+  in
+  qcheck_case ~count:60 "base + delta = plain map"
+    (pair (int_bound 300) (list_size (int_bound 120) op))
+    (fun (n, ops) ->
+      let path p = if p then "P" else "Q" in
+      let model = Hashtbl.create 64 in
+      for i = 1 to n do
+        Hashtbl.replace model i ("P", text i)
+      done;
+      let tx =
+        Text_index.build (fun add ->
+            Hashtbl.iter (fun i (p, s) -> add (Ident.of_int i) ~path:p s) model)
+      in
+      let tx =
+        List.fold_left
+          (fun tx op ->
+            match op with
+            | Put (i, t, p) ->
+              Hashtbl.replace model i (path p, text t);
+              Text_index.add_doc tx (Ident.of_int i) ~path:(path p) (text t)
+            | Drop i ->
+              Hashtbl.remove model i;
+              Text_index.remove_doc tx (Ident.of_int i))
+          tx ops
+      in
+      let naive ?path needle =
+        Hashtbl.fold
+          (fun i (p, s) acc ->
+            if
+              (match path with None -> true | Some q -> String.equal p q)
+              && Text_index.string_contains s needle
+            then i :: acc
+            else acc)
+          model []
+        |> List.sort compare
+      in
+      let agrees ?path needle =
+        set_ids (Text_index.query tx ?path needle) = naive ?path needle
+      in
+      Text_index.doc_count tx = Hashtbl.length model
+      && List.for_all
+           (fun needle -> agrees needle && agrees ~path:"Q" needle)
+           [ "recover"; "the recovery path"; "aaa"; "abc"; "issip"; "alarm"; "xyz" ]
+      && Hashtbl.fold
+           (fun i (p, _) ok -> ok && Text_index.path_of tx (Ident.of_int i) = Some p)
+           model true
+      && Text_index.equal tx
+           (Text_index.build (fun add ->
+                Hashtbl.iter (fun i (p, s) -> add (Ident.of_int i) ~path:p s) model)))
+
+(* A database-level merge: the workload writes enough strings to cross
+   the merge point, inside and outside a transaction. *)
+let carriers_db n =
+  let db = fresh_db () in
+  let cs =
+    List.init n (fun i ->
+        let a = ok (DB.create_object db ~cls:"Data" ~name:(Printf.sprintf "D%d" i) ()) in
+        ok
+          (DB.create_sub_object db ~parent:a ~role:"Description"
+             ~value:(Value.String (Printf.sprintf "spec %d describes the alarm" i)) ()))
+  in
+  (db, cs)
+
+let db_merges db =
+  match Db_state.text_index (DB.raw db) with
+  | Some tx -> merges tx
+  | None -> Alcotest.fail "text index disabled"
+
+let test_rollback_across_merge () =
+  let db, cs = carriers_db 200 in
+  DB.set_text_index_enabled db false;
+  DB.set_text_index_enabled db true (* bulk build: merges start at 0 *);
+  let before = Option.get (Db_state.text_index (DB.raw db)) in
+  let snap = DB.snapshot_view db in
+  let pinned = sorted_ids (Q.select snap (Q.contains "" "alarm")) in
+  let crossed = ref false in
+  let r =
+    DB.with_transaction db (fun () ->
+        List.iteri
+          (fun i c ->
+            if not !crossed then begin
+              ok (DB.set_value db c (Some (Value.String (Printf.sprintf "rewritten %d" i))));
+              if db_merges db > 0 then crossed := true
+            end)
+          cs;
+        Error (Seed_error.Invalid_operation "rollback"))
+  in
+  Alcotest.(check bool) "rolled back" true (Result.is_error r);
+  Alcotest.(check bool) "a write inside merged" true !crossed;
+  let after = Option.get (Db_state.text_index (DB.raw db)) in
+  Alcotest.(check bool) "pre-merge index restored" true (after == before);
+  Alcotest.(check int) "merge count restored" 0 (merges after);
+  Alcotest.(check (list int)) "snapshot still answers"
+    (List.map Ident.to_int pinned)
+    (List.map Ident.to_int (sorted_ids (Q.select snap (Q.contains "" "alarm"))));
+  Alcotest.(check int) "current view sees every alarm" 200
+    (List.length (Q.select (View.current (DB.raw db)) (Q.contains "" "alarm")))
+
+let test_snapshot_counters () =
+  let db, _ = carriers_db 3 in
+  let hits0 = (DB.stats db).DB.st_text_hits in
+  let fallbacks0 = (DB.stats db).DB.st_text_fallbacks in
+  let snap = DB.snapshot_view db in
+  let found = Q.select snap (Q.contains "" "alarm") in
+  Alcotest.(check int) "found on the snapshot" 3 (List.length found);
+  ignore (Q.select snap (Q.contains "" "al"));
+  let st = DB.stats db in
+  Alcotest.(check int) "parent counts the snapshot's hit" (hits0 + 1) st.DB.st_text_hits;
+  Alcotest.(check int) "and its fallback" (fallbacks0 + 1) st.DB.st_text_fallbacks
+
 let () =
   Alcotest.run "text_index"
     [
@@ -427,7 +702,17 @@ let () =
         [ tc "postings and verification" test_structure;
           tc "explain" test_explain;
           tc "counters and stats" test_counters;
-          tc "version views" test_version_views ] );
+          tc "version views" test_version_views;
+          tc "counters see snapshot reads" test_snapshot_counters;
+          prop_string_contains ] );
+      ( "merge",
+        [ tc "tombstoned in base, live in delta" test_tombstoned_and_live;
+          tc "pinned index across a merge" test_snapshot_across_merge;
+          tc "equal is logical" test_equal_is_logical;
+          tc "wide ids and offsets" test_wide_fields;
+          tc "no match across a document boundary" test_document_boundary;
+          tc "rollback across a merge" test_rollback_across_merge;
+          prop_model ] );
       ( "equivalence",
         [ prop_select; prop_consistent; prop_all_prefixes; prop_reopen;
           prop_disable ] );
