@@ -481,16 +481,6 @@ let query () =
         else acc)
     |> List.sort (fun (a : Item.t) b -> Ident.compare a.Item.id b.Item.id)
   in
-  let bench_op ~iters f =
-    ignore (f ());
-    let _, t =
-      Report.time_of (fun () ->
-          for _ = 1 to iters do
-            ignore (f ())
-          done)
-    in
-    t /. float_of_int iters
-  in
   let rows = ref [] in
   let json = ref [] in
   List.iter
@@ -507,8 +497,14 @@ let query () =
       in
       List.iter
         (fun (key, p) ->
-          let indexed = bench_op ~iters (fun () -> Q.select v p) in
-          let scan = bench_op ~iters (fun () -> naive_select v p) in
+          let t =
+            Report.measure
+              [|
+                Report.arm ~iters (fun () -> Q.select v p);
+                Report.arm ~iters (fun () -> naive_select v p);
+              |]
+          in
+          let indexed = t.(0) and scan = t.(1) in
           let hits = List.length (Q.select v p) in
           rows :=
             [
@@ -549,6 +545,7 @@ let text () =
   let module View = Seed_core.View in
   let module Db_state = Seed_core.Db_state in
   let module Item = Seed_core.Item in
+  let module Text_index = Seed_core.Text_index in
   (* the pre-index containment select: walk the whole item table,
      re-test every live independent (for Contains that fetches and
      substring-scans its string carriers) and sort by name exactly as
@@ -570,37 +567,35 @@ let text () =
         else acc)
     |> List.sort (by_name v)
   in
-  let bench_op ~iters f =
-    ignore (f ());
-    (* start each arm from a collected heap, so neither pays the major
-       GC debt the previous one left behind *)
-    Gc.full_major ();
-    let _, t =
-      Report.time_of (fun () ->
-          for _ = 1 to iters do
-            ignore (f ())
-          done)
-    in
-    t /. float_of_int iters
-  in
   let rows = ref [] in
   let json = ref [] in
   List.iter
     (fun n ->
       let db, carriers = Workloads.text_populate n in
       let v = DB.view db in
+      let tx () = Option.get (Db_state.text_index (DB.raw db)) in
       let scan_iters = if n >= 100_000 then 3 else 20 in
+      (* (row, path, needles): [Q.contains] for one needle, else
+         [Q.matches]; the probe-only arm answers each needle from the
+         text index alone *)
       let ops =
         [
-          ("selective", Q.contains "" "fault quarantine beacon");
-          ("common", Q.contains "" "recovery");
-          ("negative", Q.contains "" "holographic xylophone");
-          ("conjunction", Q.matches "" [ "fault quarantine"; "beacon" ]);
-          ("path_scoped", Q.contains "Thing.Description" "quarantine");
+          ("selective", "", [ "fault quarantine beacon" ]);
+          ("common", "", [ "recovery" ]);
+          ("negative", "", [ "holographic xylophone" ]);
+          ("pair", "", [ Workloads.text_pair ]);
+          ("conjunction", "", [ "fault quarantine"; "beacon" ]);
+          ("path_scoped", "Thing.Description", [ "quarantine" ]);
         ]
       in
       List.iter
-        (fun (key, p) ->
+        (fun (key, path, needles) ->
+          let p =
+            match needles with
+            | [ needle ] -> Q.contains path needle
+            | _ -> Q.matches path needles
+          in
+          let path = if path = "" then None else Some path in
           let plan =
             match Q.explain v p with
             | Q.Indexed { texts = _ :: _; _ } -> "index"
@@ -608,19 +603,20 @@ let text () =
             | Q.Scan _ -> "scan"
           in
           let select_iters = if plan = "scan" then scan_iters else 200 in
-          (* alternate the arms and keep each one's median: a single
-             back-to-back pair flips with the GC's timing *)
-          let reps = 5 in
-          let indexed = Array.make reps 0.0 and scan = Array.make reps 0.0 in
-          for r = 0 to reps - 1 do
-            indexed.(r) <- bench_op ~iters:select_iters (fun () -> Q.select v p);
-            scan.(r) <- bench_op ~iters:scan_iters (fun () -> naive_select v p)
-          done;
-          let median a =
-            Array.sort Float.compare a;
-            a.(Array.length a / 2)
+          let probe () =
+            List.iter
+              (fun nd -> ignore (Text_index.query (tx ()) ?path nd))
+              needles
           in
-          let indexed = median indexed and scan = median scan in
+          let t =
+            Report.measure
+              [|
+                Report.arm ~iters:select_iters (fun () -> Q.select v p);
+                Report.arm ~iters:scan_iters (fun () -> naive_select v p);
+                Report.arm ~iters:select_iters probe;
+              |]
+          in
+          let indexed = t.(0) and scan = t.(1) and index = t.(2) in
           let hits = List.length (Q.select v p) in
           rows :=
             [
@@ -629,6 +625,7 @@ let text () =
               plan;
               string_of_int hits;
               Report.ms indexed;
+              Report.us index;
               Report.ms scan;
               Printf.sprintf "%.1fx" (scan /. indexed);
             ]
@@ -637,8 +634,9 @@ let text () =
             Printf.sprintf
               "    {\"case\": \"search\", \"docs\": %d, \"query\": %S, \
                \"plan\": %S, \"hits\": %d, \"select_us\": %.2f, \
-               \"scan_us\": %.2f, \"speedup\": %.1f}"
-              n key plan hits (indexed *. 1e6) (scan *. 1e6) (scan /. indexed)
+               \"index_us\": %.2f, \"scan_us\": %.2f, \"speedup\": %.1f}"
+              n key plan hits (indexed *. 1e6) (index *. 1e6) (scan *. 1e6)
+              (scan /. indexed)
             :: !json)
         ops;
       (* wholesale build: what a branch switch or reopen pays, and the
@@ -666,6 +664,7 @@ let text () =
           string_of_int st.DB.st_text_docs;
           Report.ms rebuild_t;
           "-";
+          "-";
           Printf.sprintf "%d KiB (heap %.1fx text)" (st.DB.st_text_bytes / 1024)
             (float_of_int heap /. float_of_int !text_bytes);
         ]
@@ -678,6 +677,51 @@ let text () =
           n (rebuild_t *. 1e6) st.DB.st_text_trigrams st.DB.st_text_postings
           st.DB.st_text_bytes heap !text_bytes
           (float_of_int heap /. float_of_int !text_bytes)
+        :: !json;
+      (* a selective probe on the fresh base vs the same base with its
+         delta just below the merge point: rewrites of documents 0, 1,
+         ... ([text_body] of another number; the first carries the
+         planted phrase, so the probe walks the whole delta) *)
+      let needle = "fault quarantine beacon" in
+      let fresh = tx () in
+      let merges t = (Text_index.stats t).Text_index.merges in
+      let rec fill t i =
+        let id = carriers.(i) in
+        let t' =
+          Text_index.add_doc t id
+            ~path:(Option.get (Text_index.path_of t id))
+            (Workloads.text_body ~n (n + i))
+        in
+        if merges t' > merges t then t else fill t' (i + 1)
+      in
+      let full = fill fresh 0 in
+      let t =
+        Report.measure
+          [|
+            Report.arm ~iters:200 (fun () -> Text_index.query fresh needle);
+            Report.arm ~iters:200 (fun () -> Text_index.query full needle);
+          |]
+      in
+      let fresh_us = t.(0) and full_us = t.(1) in
+      let delta = (Text_index.stats full).Text_index.delta in
+      rows :=
+        [
+          string_of_int n;
+          "(full delta)";
+          "index";
+          string_of_int delta;
+          "-";
+          Report.us full_us;
+          Report.us fresh_us;
+          Printf.sprintf "%.2fx fresh" (full_us /. fresh_us);
+        ]
+        :: !rows;
+      json :=
+        Printf.sprintf
+          "    {\"case\": \"full_delta\", \"docs\": %d, \"query\": \
+           \"selective\", \"delta\": %d, \"fresh_us\": %.2f, \
+           \"full_delta_us\": %.2f, \"ratio\": %.2f}"
+          n delta (fresh_us *. 1e6) (full_us *. 1e6) (full_us /. fresh_us)
         :: !json;
       (* incremental maintenance: set_value with the index on vs off *)
       let touches = min n 2_000 in
@@ -705,6 +749,7 @@ let text () =
           "-";
           string_of_int touches;
           Report.ms on_us;
+          "-";
           Report.ms off_us;
           Printf.sprintf "%.2fx" (on_us /. off_us);
         ]
@@ -720,7 +765,8 @@ let text () =
     ~title:
       "containment select: trigram index vs naive scan (plus build/update \
        cost)"
-    ~header:[ "docs"; "query"; "plan"; "hits"; "select"; "scan"; "speedup" ]
+    ~header:
+      [ "docs"; "query"; "plan"; "hits"; "select"; "probe"; "scan"; "speedup" ]
     (List.rev !rows);
   let oc = open_out "BENCH_text.json" in
   Printf.fprintf oc
@@ -739,16 +785,6 @@ let version () =
     "version reads: materialized extents (cold/warm) vs resolution scan";
   let module Q = Seed_core.Query in
   let module View = Seed_core.View in
-  let bench_op ~iters f =
-    ignore (f ());
-    let _, t =
-      Report.time_of (fun () ->
-          for _ = 1 to iters do
-            ignore (f ())
-          done)
-    in
-    t /. float_of_int iters
-  in
   let rows = ref [] in
   let json = ref [] in
   List.iter
@@ -775,17 +811,24 @@ let version () =
       in
       List.iter
         (fun (key, f) ->
-          (* scan: materialization disabled, the retained fallback path *)
-          DB.set_version_cache_capacity db 0;
-          let scan = bench_op ~iters f in
-          (* cold: first read pays the reconstruction sweep *)
+          (* cold: the first read pays the reconstruction sweep *)
           DB.set_version_cache_capacity db 8;
           DB.clear_version_cache db;
           let _, cold = Report.time_of f in
-          (* warm: every later read is served from the extent *)
-          let warm = bench_op ~iters:(iters * 10) f in
-          let hits = List.length (Q.select v (Q.in_class "C4")) in
-          ignore hits;
+          (* scan: materialization disabled, the retained fallback path;
+             warm: every read after the first is served from the extent *)
+          let t =
+            Report.measure
+              [|
+                Report.arm
+                  ~prepare:(fun () -> DB.set_version_cache_capacity db 0)
+                  ~iters f;
+                Report.arm
+                  ~prepare:(fun () -> DB.set_version_cache_capacity db 8)
+                  ~iters:(iters * 10) f;
+              |]
+          in
+          let scan = t.(0) and warm = t.(1) in
           rows :=
             [
               string_of_int items;

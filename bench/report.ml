@@ -75,3 +75,38 @@ let time_of f =
   (r, Unix.gettimeofday () -. t0)
 
 let ms t = Printf.sprintf "%.2f ms" (t *. 1000.)
+let us t = Printf.sprintf "%.1f us" (t *. 1e6)
+
+(* A timed arm: [iters] calls of [run] after [prepare]. *)
+type arm = { iters : int; prepare : unit -> unit; run : unit -> unit }
+
+let arm ?(prepare = ignore) ~iters f =
+  { iters; prepare; run = (fun () -> ignore (f ())) }
+
+let median a =
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
+(* Seconds per call of each arm, the median of 5 rounds. Within a
+   round the arms run in turn, so none always runs first; each is
+   prepared, warmed up by one untimed call and started from a collected
+   heap, so it does not pay the major GC debt another left behind. A
+   single back-to-back pair flipped a 1.0x ratio between 0.8x and 1.2x
+   depending on which arm ran first. *)
+let measure arms =
+  let reps = 5 in
+  let times = Array.map (fun _ -> Array.make reps 0.0) arms in
+  for r = 0 to reps - 1 do
+    Array.iteri
+      (fun i arm ->
+        arm.prepare ();
+        arm.run ();
+        Gc.full_major ();
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to arm.iters do
+          arm.run ()
+        done;
+        times.(i).(r) <- (Unix.gettimeofday () -. t0) /. float_of_int arm.iters)
+      arms
+  done;
+  Array.map median times

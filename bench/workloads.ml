@@ -334,7 +334,12 @@ let versioned_query_db ~items ~versions =
    drawn by a deterministic LCG. Selectivity is planted: the phrase
    "fault quarantine beacon" (words outside the vocabulary) appears in
    exactly 10 documents at any size, "recovery" shows up in roughly a
-   fifth of them, and "holographic xylophone" in none. *)
+   fifth of them, and "holographic xylophone" in none. [text_pair] —
+   two vocabulary words, each in about a quarter of the documents —
+   is appended to exactly 50 others: the LCG never puts them side by
+   side, nor any pair sharing the trigram that spans their gap, so that
+   trigram's run holds those 50 documents while the other trigrams'
+   runs are common-word runs, as in a search for two adjacent words. *)
 
 let text_vocab =
   [|
@@ -347,6 +352,7 @@ let text_vocab =
     "caches"; "operator"; "confirms"; "each"; "step"; "manually";
   |]
 
+let text_pair = "alarm stream"
 let text_doc_name i = Printf.sprintf "Spec%06d" i
 
 let text_body ~n i =
@@ -358,7 +364,11 @@ let text_body ~n i =
     Buffer.add_string buf text_vocab.(!s mod Array.length text_vocab)
   done;
   if i mod (max 1 (n / 10)) = 0 then
-    Buffer.add_string buf " fault quarantine beacon";
+    Buffer.add_string buf " fault quarantine beacon"
+  else if i mod (max 1 (n / 50)) = n / 100 then begin
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf text_pair
+  end;
   Buffer.contents buf
 
 (* Returns the database and the carrier (Description sub-object) ids,

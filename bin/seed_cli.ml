@@ -946,15 +946,9 @@ let shell_cmd =
               in
               let module Q = Seed_core.Query in
               let v = DB.view db in
-              let hits = Q.select v (Q.matches path needles) in
-              if hits = [] then Fmt.pr "no matches@."
-              else
-                List.iter
-                  (fun it ->
-                    match Seed_core.View.full_name v it with
-                    | Some n -> Fmt.pr "%s@." n
-                    | None -> ())
-                  hits)
+              match Q.select_names v (Q.matches path needles) with
+              | [] -> Fmt.pr "no matches@."
+              | names -> List.iter (Fmt.pr "%s@.") names)
           | [ "stats" ] -> Fmt.pr "%a@." DB.pp_stats (DB.stats db)
           | [ "snapshot" ] ->
             report_result

@@ -80,45 +80,67 @@ let related_to ~assoc other =
 let is_incomplete =
   Opaque (fun v it -> Completeness.check_object v it <> [])
 
+let live_normal_state s =
+  (not (Item.state_deleted s)) && not (Item.state_pattern s)
+
+(* Does string [s] contain every needle? *)
+let rec holds_all s = function
+  | [] -> true
+  | n :: rest -> Text_index.string_contains s n && holds_all s rest
+
+(* Does the state carry a string value at the class path ([""] = any
+   path) holding every needle? *)
+let carries ~path needles = function
+  | Item.Obj { Item.cls; value = Some (Value.String s); _ }
+    when String.equal path "" || String.equal path cls ->
+    holds_all s needles
+  | Item.Obj _ | Item.Rel _ -> false
+
+(* Does some live sub-object among [ids], or below them, carry it? The
+   walk goes by id, so each sub-object costs one {!View.fetch}; plain
+   recursion allocates no closure per node. *)
+let rec carried_below v ~path needles = function
+  | [] -> false
+  | id :: rest ->
+    (match View.fetch v id with
+    | Some (_, s) when not (Item.state_deleted s) ->
+      carries ~path needles s
+      || carried_below v ~path needles (Db_state.children_ids (View.db v) id)
+    | Some _ | None -> false)
+    || carried_below v ~path needles rest
+
 (* Containment semantics: the object itself, or any of its live
    descendant sub-objects, carries a string value at the class path
-   ([""] = any path) satisfying [f]. Only the object's {e own} subtree
-   is walked — information viewed through pattern inheritance is not
-   searched, matching what the trigram index covers. *)
-let carrier_matches v (it : Item.t) ~path f =
-  let path_ok cls = String.equal path "" || String.equal path cls in
-  let check (node : Item.t) =
-    match View.obj_state v node with
-    | Some { Item.cls; value = Some (Value.String s); _ } when path_ok cls ->
-      f s
-    | Some _ | None -> false
-  in
-  let rec walk (node : Item.t) =
-    check node || List.exists walk (View.children v node.Item.id)
-  in
-  walk it
+   ([""] = any path) holding every needle. Only the object's {e own}
+   subtree is walked — information viewed through pattern inheritance
+   is not searched, matching what the trigram index covers. [st] is the
+   object's state in the view. *)
+let carrier_matches v (it : Item.t) st ~path needles =
+  (match st with Some s -> carries ~path needles s | None -> false)
+  || carried_below v ~path needles (Db_state.children_ids (View.db v) it.Item.id)
 
-let rec test p v it =
+(* [test] with the item's state in the view already at hand. *)
+let rec test_state p v it st =
   match p with
   | In_class cls -> (
-    match View.obj_state v it with
-    | Some o -> String.equal o.Item.cls cls
-    | None -> false)
+    match st with
+    | Some (Item.Obj o) -> String.equal o.Item.cls cls
+    | Some (Item.Rel _) | None -> false)
   | Is_a cls -> (
-    match View.obj_state v it with
-    | Some o -> Schema.class_is_a (View.schema v) ~sub:o.Item.cls ~super:cls
-    | None -> false)
+    match st with
+    | Some (Item.Obj o) ->
+      Schema.class_is_a (View.schema v) ~sub:o.Item.cls ~super:cls
+    | Some (Item.Rel _) | None -> false)
   | Name_is n -> (
     match View.full_name v it with Some m -> String.equal m n | None -> false)
-  | Contains { path; needle } ->
-    carrier_matches v it ~path (fun s -> Text_index.string_contains s needle)
-  | Matches { path; needles } ->
-    carrier_matches v it ~path (fun s ->
-        List.for_all (Text_index.string_contains s) needles)
-  | And (p, q) -> test p v it && test q v it
-  | Or (p, q) -> test p v it || test q v it
-  | Not p -> not (test p v it)
+  | Contains { path; needle } -> carrier_matches v it st ~path [ needle ]
+  | Matches { path; needles } -> carrier_matches v it st ~path needles
+  | And (p, q) -> test_state p v it st && test_state q v it st
+  | Or (p, q) -> test_state p v it st || test_state q v it st
+  | Not p -> not (test_state p v it st)
   | Opaque f -> f v it
+
+let test p v it = test_state p v it (View.state v it)
 
 let ( &&& ) p q = And (p, q)
 let ( ||| ) p q = Or (p, q)
@@ -246,9 +268,10 @@ let text_candidates src ~path needles =
         (Ident.Set.fold
            (fun id acc ->
              match root_owner src.src_db id with
-             | Some root -> Ident.Set.add root acc
+             | Some root -> root :: acc
              | None -> acc)
-           carriers Ident.Set.empty))
+           carriers []
+        |> Ident.Set.of_list))
 
 let rec candidates src schema p =
   match p with
@@ -441,53 +464,55 @@ let pp_plan ppf = function
   | Scan { reason } ->
     Fmt.pf ppf "@[<v>plan: full scan of the view@,reason: %s@]" reason
 
-let by_name v (a : Item.t) (b : Item.t) =
-  match (View.full_name v a, View.full_name v b) with
-  | Some x, Some y -> String.compare x y
-  | Some _, None -> -1
-  | None, Some _ -> 1
-  | None, None -> Ident.compare a.Item.id b.Item.id
-
 (* The scan fallback. On the current view it folds the item table
    directly, as a naive scan would: listing the live objects first
-   would sort and look up every one of them before testing any. *)
+   would sort and look up every one of them before testing any. The
+   table holds current records, so each one's state is at hand. *)
 let scan_objects v p =
   match View.version v with
   | None ->
     Db_state.fold_items (View.db v) ~init:[] ~f:(fun acc it ->
-        match it.Item.body with
-        | Item.Independent when View.live_normal v it && test p v it -> it :: acc
-        | Item.Independent | Item.Dependent _ | Item.Relationship -> acc)
+        match (it.Item.body, it.Item.current) with
+        | Item.Independent, Some s
+          when live_normal_state s && test_state p v it (Some s) ->
+          it :: acc
+        | (Item.Independent | Item.Dependent _ | Item.Relationship), _ -> acc)
   | Some _ -> View.all_objects v |> List.filter (test p v)
 
-let select v p =
-  let hits =
-    match source_of_view v with
-    | None -> scan_objects v p
-    | Some src -> (
-      match candidates src (View.schema v) p with
-      | None -> scan_objects v p
-      | Some ids ->
-        Ident.Set.elements ids
-        |> List.filter_map (Db_state.find_item (View.db v))
-        |> List.filter (fun it -> View.live_normal v it && test p v it))
-  in
-  List.sort (by_name v) hits
+(* The live normal candidates satisfying [p]: one {!View.fetch} per
+   candidate, whose state the re-test reads. *)
+let retest v p ids =
+  Ident.Set.fold
+    (fun id acc ->
+      match View.fetch v id with
+      | Some (it, s) when live_normal_state s && test_state p v it (Some s) ->
+        it :: acc
+      | Some _ | None -> acc)
+    ids []
 
-let count v p =
+let hits v p =
   match source_of_view v with
-  | None -> List.length (scan_objects v p)
+  | None -> scan_objects v p
   | Some src -> (
-    let db = View.db v in
     match candidates src (View.schema v) p with
-    | None -> List.length (scan_objects v p)
-    | Some ids ->
-      Ident.Set.fold
-        (fun id acc ->
-          match Db_state.find_item db id with
-          | Some it when View.live_normal v it && test p v it -> acc + 1
-          | Some _ | None -> acc)
-        ids 0)
+    | None -> scan_objects v p
+    | Some ids -> retest v p ids)
+
+(* Hits in name order, each decorated with its full name — computed
+   once per hit rather than twice per comparison; unnamed hits last, by
+   id. *)
+let select_named v p =
+  List.map (fun it -> (View.full_name v it, it)) (hits v p)
+  |> List.sort (fun (x, (a : Item.t)) (y, (b : Item.t)) ->
+         match (x, y) with
+         | Some x, Some y -> String.compare x y
+         | Some _, None -> -1
+         | None, Some _ -> 1
+         | None, None -> Ident.compare a.Item.id b.Item.id)
+
+let select v p = List.map snd (select_named v p)
+let select_names v p = List.filter_map fst (select_named v p)
+let count v p = List.length (hits v p)
 
 let select_rels v ~assoc =
   (* each relationship sits in exactly one association extent, so the

@@ -95,6 +95,11 @@ val select : View.t -> pred -> Item.t list
 (** All live normal independent objects satisfying the predicate, in
     name order. *)
 
+val select_names : View.t -> pred -> string list
+(** The full names of {!select}'s hits, in the same order — ascending
+    by [String.compare], since names are unique — computed once per
+    hit. Unnamed hits are left out. *)
+
 val count : View.t -> pred -> int
 
 val select_rels : View.t -> assoc:string -> Item.t list

@@ -13,8 +13,8 @@ open Seed_util
 (*   - the base: immutable and built in bulk. Documents are numbered by *)
 (*     rank (ascending id) in flat arrays; each distinct trigram owns   *)
 (*     one sorted run of entries [rank lsl ob lor offset], so one       *)
-(*     carrier's offsets are adjacent and a positional check is one     *)
-(*     binary search;                                                   *)
+(*     carrier's offsets are adjacent and a query moves a forward-only  *)
+(*     cursor per needle trigram from one carrier's slice to the next;  *)
 (*   - the delta: a persistent map of the documents written since the   *)
 (*     last merge plus a tombstone set of base carriers whose base      *)
 (*     entry is stale. Queries answer the delta by scanning its texts.  *)
@@ -46,13 +46,13 @@ let bits_below x =
 (* Entry runs live in a [Bytes.t] of native-endian 64-bit words rather
    than an [int array]: the GC never scans the contents, and creating
    one does not zero-fill it — a merge writes every word anyway. *)
-let eget e i = Int64.to_int (Bytes.get_int64_ne e (i lsl 3))
 let eset e i v = Bytes.set_int64_ne e (i lsl 3) (Int64.of_int v)
 let elength e = Bytes.length e lsr 3
 
-(* Unchecked access for the merge loop, whose indices stay below the
-   lengths of the runs it walks and of the buffer it sized itself; the
-   bounds checks cost about a fifth of a merge (A/B at 10⁴ documents). *)
+(* Unchecked access for the merge loop and the query cursors, whose
+   indices stay below the lengths of the runs they walk and of the
+   buffer the merge sized itself; the bounds checks cost about a fifth
+   of a merge (A/B at 10⁴ documents). *)
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
@@ -65,15 +65,6 @@ let lower_bound (a : int array) lo hi x =
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
     if Array.unsafe_get a mid < x then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* The same over entry runs. *)
-let elower_bound e lo hi x =
-  let lo = ref lo and hi = ref hi in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if eget e mid < x then lo := mid + 1 else hi := mid
   done;
   !lo
 
@@ -446,19 +437,22 @@ type probe = {
 }
 
 (* Scan-side containment: the semantics the index answers. Compares
-   bytes in place — no substring is allocated. *)
+   bytes in place with plain loops — no substring and no closure is
+   allocated. *)
 let string_contains hay needle =
   let n = String.length needle and h = String.length hay in
-  let rec agrees i j =
-    j = n || (String.unsafe_get hay (i + j) = String.unsafe_get needle j
-              && agrees i (j + 1))
-  in
-  let rec from i =
-    i <= h - n
-    && ((String.unsafe_get hay i = String.unsafe_get needle 0 && agrees i 1)
-       || from (i + 1))
-  in
-  n = 0 || from 0
+  let found = ref (n = 0) and i = ref 0 in
+  while (not !found) && !i <= h - n do
+    if String.unsafe_get hay !i = String.unsafe_get needle 0 then begin
+      let j = ref 1 in
+      while !j < n && String.unsafe_get hay (!i + !j) = String.unsafe_get needle !j do
+        incr j
+      done;
+      found := !j = n
+    end;
+    incr i
+  done;
+  !found
 
 let check_needle fn needle =
   if String.length needle < min_needle then
@@ -472,66 +466,95 @@ let needle_codes needle =
   done;
   Iset.elements !acc
 
-(* Does gram [g]'s run hold entry [v]? *)
-let run_mem b g v =
-  let run = b.runs.(g) in
-  let k = elower_bound run 0 (elength run) v in
-  k < elength run && eget run k = v
+(* First index in [k, n) of run [e] whose entry is >= [x], galloping
+   forward from [k]: O(log d) for a target d entries ahead, so a cursor
+   that only moves forward pays for the distance it moves, not for the
+   run's length. [k <= n <= elength e]. *)
+let gallop e k n x =
+  if k >= n || uget e k >= x then k
+  else begin
+    (* [e.(lo) < x]; probe lo + 1, lo + 2, lo + 4, ... until past [x] *)
+    let lo = ref k and step = ref 1 in
+    while !lo + !step < n && uget e (!lo + !step) < x do
+      lo := !lo + !step;
+      step := 2 * !step
+    done;
+    let lo = ref (!lo + 1) and hi = ref (Int.min n (!lo + !step)) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if uget e mid < x then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  end
 
-(* Does gram [g]'s run hold any entry of [rank]? *)
-let run_has_rank b g rank =
-  let run = b.runs.(g) in
-  let k = elower_bound run 0 (elength run) (rank lsl b.ob) in
-  k < elength run && eget run k lsr b.ob = rank
-
-(* Do the runs of needle instances [i..] all hold [rank]? *)
-let rec has_rank_from b inst rank i =
-  i = Array.length inst
-  || (run_has_rank b inst.(i) rank && has_rank_from b inst rank (i + 1))
-
-(* Does needle instance [i..] each occur in [rank]'s text at [p + i]? *)
-let rec aligned_from b inst rank p i =
-  i = Array.length inst
-  || (run_mem b inst.(i) ((rank lsl b.ob) lor (p + i))
-     && aligned_from b inst rank p (i + 1))
-
-(* Live base carriers whose text holds the needle: walk the rarest
-   instance's run one carrier at a time, intersect at carrier level,
-   then verify every aligned start. *)
+(* Live base carriers whose text holds the needle. The rarest instance's
+   run is walked one carrier (rank) at a time; every other instance
+   keeps a cursor into its own run. Ranks only ascend, so a cursor only
+   moves forward, galloping to the carrier's slice
+   [rank lsl ob, (rank + 1) lsl ob). The instances are checked rarest
+   first, so a carrier missing from a run is dropped early. A carrier
+   present in every run is a candidate; its aligned starts come from the
+   rarest instance's offsets (so that instance holds by construction)
+   and the others are verified inside the per-carrier slices, again
+   with forward-only cursors. *)
 let query_base t ~path_ok needle found candidates =
   let b = t.base in
-  let inst = Array.init (String.length needle - 2) (fun i -> gram_of b (code needle i)) in
+  let m = String.length needle - 2 in
+  let inst = Array.init m (fun i -> gram_of b (code needle i)) in
   if Array.for_all (fun g -> g >= 0) inst then begin
-    let i0 = ref 0 in
-    Array.iteri
-      (fun i g -> if b.carriers.(g) < b.carriers.(inst.(!i0)) then i0 := i)
-      inst;
-    let i0 = !i0 and g0 = inst.(!i0) in
-    let mask = (1 lsl b.ob) - 1 in
-    let run = b.runs.(g0) in
-    let k = ref 0 and stop = elength run in
+    let order = Array.init m Fun.id in
+    Array.stable_sort
+      (fun i j -> Int.compare b.carriers.(inst.(i)) b.carriers.(inst.(j)))
+      order;
+    let i0 = order.(0) in
+    let runs = Array.map (fun g -> b.runs.(g)) inst in
+    let lens = Array.map elength runs in
+    (* [cur.(i)]: no entry of the current carrier or a later one lies
+       below it in instance [i]'s run; [pos.(i)]: the same for the
+       current aligned start *)
+    let cur = Array.make m 0 and pos = Array.make m 0 in
+    let ob = b.ob in
+    let mask = (1 lsl ob) - 1 in
+    let run = runs.(i0) and stop = lens.(i0) in
+    let rec present rank j =
+      j = m
+      ||
+      let i = order.(j) in
+      let c = gallop runs.(i) cur.(i) lens.(i) (rank lsl ob) in
+      cur.(i) <- c;
+      c < lens.(i) && uget runs.(i) c lsr ob = rank && present rank (j + 1)
+    in
+    let rec aligned base j =
+      j = m
+      ||
+      let i = order.(j) in
+      let x = base + i in
+      let c = gallop runs.(i) pos.(i) lens.(i) x in
+      pos.(i) <- c;
+      c < lens.(i) && uget runs.(i) c = x && aligned base (j + 1)
+    in
+    let k = ref 0 in
     while !k < stop do
-      let rank = eget run !k lsr b.ob in
+      let rank = uget run !k lsr ob in
       let first = !k in
-      while !k < stop && eget run !k lsr b.ob = rank do incr k done;
+      while !k < stop && uget run !k lsr ob = rank do incr k done;
       let id = Ident.of_int b.ids.(rank) in
       if
         path_ok b.paths.(rank)
         && (t.ntomb = 0 || not (Ident.Set.mem id t.tomb))
-        && has_rank_from b inst rank 0
+        && present rank 1
       then begin
         incr candidates;
         (* candidate starts come from the rarest instance's offsets *)
+        Array.blit cur 0 pos 0 m;
         let q = ref first and hit = ref false in
         while (not !hit) && !q < !k do
-          let p = (eget run !q land mask) - i0 in
+          let p = (uget run !q land mask) - i0 in
           hit :=
-            p >= 0
-            && p + Array.length inst <= b.npos.(rank)
-            && aligned_from b inst rank p 0;
+            p >= 0 && p + m <= b.npos.(rank) && aligned ((rank lsl ob) lor p) 1;
           incr q
         done;
-        if !hit then found := Ident.Set.add id !found
+        if !hit then found := id :: !found
       end
     done
   end
@@ -542,7 +565,9 @@ let query_probe t ?path needle =
     match path with None -> fun _ -> true | Some p -> String.equal p
   in
   let codes = needle_codes needle in
-  let found = ref Ident.Set.empty and candidates = ref 0 in
+  (* hits are collected in a list and made a set once: adding them one
+     by one copies a path of the tree per hit *)
+  let found = ref [] and candidates = ref 0 in
   query_base t ~path_ok needle found candidates;
   (* a delta document holding the needle holds all its trigrams *)
   if t.ndelta > 0 && List.for_all (fun c -> Iset.mem c t.dgrams) codes then begin
@@ -552,11 +577,12 @@ let query_probe t ?path needle =
         if d.sig_lo land lo = lo && d.sig_hi land hi = hi && path_ok d.path
         then begin
           incr candidates;
-          if string_contains d.text needle then found := Ident.Set.add id !found
+          if string_contains d.text needle then found := id :: !found
         end)
       t.docs
   end;
-  ( !found,
+  let found = Ident.Set.of_list !found in
+  ( found,
     {
       pr_trigrams = List.length codes;
       pr_postings =
@@ -566,7 +592,7 @@ let query_probe t ?path needle =
             if g >= 0 then acc + t.base.carriers.(g) else acc)
           0 codes;
       pr_candidates = !candidates;
-      pr_verified = Ident.Set.cardinal !found;
+      pr_verified = Ident.Set.cardinal found;
     } )
 
 let query t ?path needle = fst (query_probe t ?path needle)

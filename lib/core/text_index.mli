@@ -5,6 +5,10 @@
     item. Containment is answered by intersecting the carriers of the
     needle's trigrams and then verifying positional alignment, which is
     exact: a carrier survives iff the literal needle occurs in its text.
+    The intersection walks the rarest trigram's carriers in ascending
+    order while every other needle trigram keeps a forward-only cursor
+    into its own run, so a probe costs about the rarest run plus a short
+    gallop per carrier and trigram, not a binary search of every run.
 
     The index is an immutable {e base} — flat arrays of documents and one
     sorted run of packed (document, offset) entries per trigram, built in

@@ -41,6 +41,13 @@ let state t (item : Item.t) =
     | Some ve -> Db_state.ve_state ve item.Item.id
     | None -> Versioning.state_at (Db_state.versions t.db_) item v)
 
+let fetch t id =
+  match Db_state.find_item t.db_ id with
+  | None -> None
+  | Some it -> (
+    let st = match t.mode with Current -> it.Item.current | At _ -> state t it in
+    match st with Some s -> Some (it, s) | None -> None)
+
 let live t item =
   match state t item with Some s -> not (Item.state_deleted s) | None -> false
 
@@ -99,10 +106,7 @@ let find_object t name =
       with Found it -> Some it))
 
 let children t id =
-  Db_state.children_ids t.db_ id
-  |> items_of_ids t
-  |> List.filter (live t)
-  |> List.sort (fun (a : Item.t) b -> Ident.compare a.id b.id)
+  Db_state.children_ids t.db_ id |> items_of_ids t |> List.filter (live t)
 
 let child t id ~role ?index () =
   children t id
@@ -114,10 +118,7 @@ let child t id ~role ?index () =
          | Item.Independent | Item.Relationship -> false)
 
 let rels t id =
-  Db_state.rels_ids t.db_ id
-  |> items_of_ids t
-  |> List.filter (live t)
-  |> List.sort (fun (a : Item.t) b -> Ident.compare a.id b.id)
+  Db_state.rels_ids t.db_ id |> items_of_ids t |> List.filter (live t)
 
 let inherits_of t item =
   match obj_state t item with Some o -> o.inherits | None -> []

@@ -37,6 +37,12 @@ val schema : t -> Schema.t
 (** {1 State resolution} *)
 
 val state : t -> Item.t -> Item.state option
+val fetch : t -> Ident.t -> (Item.t * Item.state) option
+(** The item with this id and its state in the view; [None] when the
+    item does not exist in the view. On the current view this is one
+    item-table lookup, where {!Db_state.find_item} followed by {!state}
+    (or {!live}, {!obj_state}, ...) makes two. *)
+
 val live : t -> Item.t -> bool
 val live_normal : t -> Item.t -> bool
 val live_pattern : t -> Item.t -> bool
@@ -49,12 +55,12 @@ val find_object : t -> string -> Item.t option
 (** Independent object by name, patterns included (callers filter). *)
 
 val children : t -> Ident.t -> Item.t list
-(** Live sub-objects, in creation order. *)
+(** Live sub-objects, in creation (id) order. *)
 
 val child : t -> Ident.t -> role:string -> ?index:int -> unit -> Item.t option
 
 val rels : t -> Ident.t -> Item.t list
-(** Live relationships the object takes part in. *)
+(** Live relationships the object takes part in, in id order. *)
 
 val inherits_of : t -> Item.t -> Ident.t list
 (** Patterns directly inherited by an object. *)

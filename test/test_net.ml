@@ -239,6 +239,45 @@ let test_session_lifecycle () =
   let st = NS.stats core in
   Alcotest.(check int) "no sessions left" 0 st.Wire.sv_sessions
 
+(* [Search] and [Select_isa] answer with the names of [Query.select]'s
+   hits, sorted as strings. *)
+let test_search_replies_are_select_names () =
+  let core, srv, _ = make_core () in
+  let db = Server.database srv in
+  List.iteri
+    (fun i (cls, text) ->
+      let o = ok (DB.create_object db ~cls ~name:(Printf.sprintf "Obj%02d" (20 - i)) ()) in
+      ignore
+        (ok
+           (DB.create_sub_object db ~parent:o ~role:"Description"
+              ~value:(Seed_schema.Value.String text) ())))
+    [
+      ("Data", "the alarm stream");
+      ("InputData", "alarm stream input");
+      ("Action", "no match here");
+      ("OutputData", "an alarm streamed out");
+      ("Data", "stream alarm, reversed");
+    ];
+  let conn = NS.open_conn core in
+  ignore (hello core conn ~client:"reader" ());
+  let v = Server.snapshot srv in
+  let expect p =
+    List.sort String.compare
+      (List.filter_map (Seed_core.View.full_name v) (Seed_core.Query.select v p))
+  in
+  let names req_id body =
+    match (step core conn ~req_id body).Wire.rbody with
+    | Wire.Names names -> names
+    | _ -> Alcotest.fail "expected names"
+  in
+  let search = names 2L (Wire.Search { path = ""; needles = [ "alarm stream" ] }) in
+  Alcotest.(check (list string)) "search"
+    (expect (Seed_core.Query.matches "" [ "alarm stream" ])) search;
+  Alcotest.(check int) "three hits" 3 (List.length search);
+  Alcotest.(check (list string)) "select_isa"
+    (expect (Seed_core.Query.is_a "Data"))
+    (names 3L (Wire.Select_isa "Data"))
+
 let test_request_before_hello_refused () =
   let core, _, _ = make_core () in
   let conn = NS.open_conn core in
@@ -762,6 +801,7 @@ let () =
       ( "sessions",
         [
           tc "lifecycle" test_session_lifecycle;
+          tc "search replies are select names" test_search_replies_are_select_names;
           tc "request before hello" test_request_before_hello_refused;
           tc "protocol mismatch" test_protocol_mismatch_refused;
           tc "corrupt frame closes" test_corrupt_frame_closes_connection;

@@ -205,15 +205,68 @@ let run_model ops =
 let sorted_ids items =
   List.map (fun (it : Item.t) -> it.Item.id) items |> List.sort Ident.compare
 
-(* The naive reference bypasses the planner entirely: [Q.test] on
-   Contains/Matches reads the strings through the view, never the
-   index. *)
+(* The plain definition: some offset where the needle's bytes appear. *)
+let reference_contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
+
+(* The pool's predicates, kept as data so the naive reference can
+   evaluate them on its own rather than through [Q.test]. *)
+type rpred =
+  | Contains of string * string
+  | Matches of string * string list
+  | Is_a of string
+  | In_class of string
+  | And of rpred * rpred
+  | Or of rpred * rpred
+  | Not of rpred
+
+let rec to_pred = function
+  | Contains (path, needle) -> Q.contains path needle
+  | Matches (path, needles) -> Q.matches path needles
+  | Is_a cls -> Q.is_a cls
+  | In_class cls -> Q.in_class cls
+  | And (p, q) -> Q.(to_pred p &&& to_pred q)
+  | Or (p, q) -> Q.(to_pred p ||| to_pred q)
+  | Not p -> Q.not_ (to_pred p)
+
+(* Containment read through the view, never the index: the object or
+   any of its live sub-objects ([View.children]), at any depth, carries
+   a string at the class path holding every needle. *)
+let rec ref_carries v (node : Item.t) ~path needles =
+  (match View.obj_state v node with
+  | Some { Item.cls; value = Some (Value.String s); _ }
+    when path = "" || path = cls ->
+    List.for_all (reference_contains s) needles
+  | Some _ | None -> false)
+  || List.exists
+       (fun c -> ref_carries v c ~path needles)
+       (View.children v node.Item.id)
+
+let rec ref_test p v it =
+  match p with
+  | Contains (path, needle) -> ref_carries v it ~path [ needle ]
+  | Matches (path, needles) -> ref_carries v it ~path needles
+  | Is_a cls -> (
+    match View.obj_state v it with
+    | Some o -> Schema.class_is_a (View.schema v) ~sub:o.Item.cls ~super:cls
+    | None -> false)
+  | In_class cls -> (
+    match View.obj_state v it with
+    | Some o -> o.Item.cls = cls
+    | None -> false)
+  | And (p, q) -> ref_test p v it && ref_test q v it
+  | Or (p, q) -> ref_test p v it || ref_test q v it
+  | Not p -> not (ref_test p v it)
+
+(* The naive reference bypasses the planner and [Q.test] entirely. *)
 let naive_select v p =
   Db_state.fold_items (View.db v) ~init:[] ~f:(fun acc it ->
       if
         it.Item.body = Item.Independent
         && View.live_normal v it
-        && Q.test p v it
+        && ref_test p v it
       then it.Item.id :: acc
       else acc)
   |> List.sort Ident.compare
@@ -223,30 +276,30 @@ let naive_select v p =
    conjunctions with the class planner. *)
 let predicate_pool =
   [
-    Q.contains "" "recovery";
-    Q.contains "" "recover";
-    Q.contains "" "the recovery path";
-    Q.contains "" "issip";
-    Q.contains "" "aaa";
-    Q.contains "" "abcab";
-    Q.contains "" "no-such-needle";
-    Q.contains "" "ab";
-    Q.contains "" "z";
-    Q.contains "" "";
-    Q.contains "Thing.Description" "recovery";
-    Q.contains "Thing.Keywords" "alarm";
-    Q.contains "Data.Text.Body" "spec";
-    Q.contains "Data.Text.Selector" "recovery";
-    Q.contains "No.Such.Path" "recovery";
-    Q.matches "" [ "spec"; "recovery path" ];
-    Q.matches "" [ "alarm"; "reset" ];
-    Q.matches "" [ "recovery"; "xyzzy" ];
-    Q.matches "" [ "ab"; "recovery" ];
-    Q.matches "" [];
-    Q.(is_a "Data" &&& contains "" "recovery");
-    Q.(in_class "Action" &&& contains "Thing.Description" "alarm");
-    Q.(contains "" "spec" ||| contains "" "alarm");
-    Q.(not_ (contains "" "recovery"));
+    Contains ("", "recovery");
+    Contains ("", "recover");
+    Contains ("", "the recovery path");
+    Contains ("", "issip");
+    Contains ("", "aaa");
+    Contains ("", "abcab");
+    Contains ("", "no-such-needle");
+    Contains ("", "ab");
+    Contains ("", "z");
+    Contains ("", "");
+    Contains ("Thing.Description", "recovery");
+    Contains ("Thing.Keywords", "alarm");
+    Contains ("Data.Text.Body", "spec");
+    Contains ("Data.Text.Selector", "recovery");
+    Contains ("No.Such.Path", "recovery");
+    Matches ("", [ "spec"; "recovery path" ]);
+    Matches ("", [ "alarm"; "reset" ]);
+    Matches ("", [ "recovery"; "xyzzy" ]);
+    Matches ("", [ "ab"; "recovery" ]);
+    Matches ("", []);
+    And (Is_a "Data", Contains ("", "recovery"));
+    And (In_class "Action", Contains ("Thing.Description", "alarm"));
+    Or (Contains ("", "spec"), Contains ("", "alarm"));
+    Not (Contains ("", "recovery"));
   ]
 
 let views env =
@@ -257,9 +310,10 @@ let select_agrees env =
   List.for_all
     (fun v ->
       List.for_all
-        (fun p ->
+        (fun rp ->
+          let p = to_pred rp in
           let planned = sorted_ids (Q.select v p) in
-          planned = naive_select v p
+          planned = naive_select v rp
           && Q.count v p = List.length planned)
         predicate_pool)
     (views env)
@@ -424,12 +478,6 @@ let test_version_views () =
 (* Scan-side containment                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The plain definition: some offset where the needle's bytes appear. *)
-let reference_contains hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
-  at 0
-
 let prop_string_contains =
   let small = QCheck2.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_bound 12)) in
   qcheck_case ~count:500 "string_contains = reference definition"
@@ -572,6 +620,171 @@ let test_document_boundary () =
   Alcotest.(check (list int)) "the real occurrence" [ 1 ]
     (set_ids (Text_index.query tx "dabc"))
 
+(* ------------------------------------------------------------------ *)
+(* The cursor walk                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A bulk build of [(id, path, text)]. *)
+let index_of docs =
+  Text_index.build (fun add ->
+      List.iter (fun (i, p, s) -> add (Ident.of_int i) ~path:p s) docs)
+
+let check_query tx ?path needle expected =
+  Alcotest.(check (list int)) needle expected
+    (set_ids (Text_index.query tx ?path needle))
+
+(* Every instance of "aaaaaa" is the same trigram, so all four cursors
+   walk one run; "abcabcab" repeats "abc", "bca" and "cab". *)
+let test_repeated_trigrams () =
+  let tx =
+    index_of
+      [
+        (1, "P", "aaaaaa");
+        (2, "P", "aaaaa");
+        (3, "P", "xaaaaaax");
+        (4, "P", "aaa aaa");
+        (5, "P", "abcabcab");
+        (6, "P", "abcabcaX");
+        (7, "P", "abcab cab");
+        (8, "P", "xxabcabcabcab");
+      ]
+  in
+  check_query tx "aaaaaa" [ 1; 3 ];
+  check_query tx "aaaa" [ 1; 2; 3 ];
+  check_query tx "abcabcab" [ 5; 8 ];
+  check_query tx "cabcab" [ 5; 8 ];
+  check_query tx "bcab" [ 5; 6; 7; 8 ]
+
+(* Hits on adjacent ranks, on the first and the last rank of the runs,
+   with near misses (one word without the other, the words apart)
+   between them. *)
+let test_adjacent_and_edge_ranks () =
+  let tx =
+    index_of
+      [
+        (10, "P", "alpha beta");
+        (11, "P", "alpha beta gamma");
+        (12, "P", "alpha gamma beta");
+        (13, "P", "beta alpha");
+        (14, "P", "gamma");
+        (15, "P", "alphabeta");
+        (16, "P", "x alpha beta");
+        (17, "P", "y alpha beta");
+      ]
+  in
+  check_query tx "alpha beta" [ 10; 11; 16; 17 ];
+  check_query tx "beta" [ 10; 11; 12; 13; 15; 16; 17 ];
+  check_query tx "a beta" [ 10; 11; 12; 16; 17 ];
+  check_query tx "gamma beta" [ 12 ];
+  check_query tx "a gamma" [ 11; 12 ]
+
+(* Tombstoned carriers and carriers on another path sit between the
+   hits; the base is big enough that the tombstones do not merge. *)
+let test_tombstones_and_paths_between_hits () =
+  let docs =
+    List.init 60 (fun k ->
+        let i = k + 1 in
+        if i mod 3 = 0 then (i, (if i mod 2 = 0 then "Q" else "P"), "the rare needle")
+        else (i, "P", Printf.sprintf "filler %d" i))
+  in
+  let tx = index_of docs in
+  let tx = Text_index.remove_doc tx (Ident.of_int 9) in
+  let tx = Text_index.remove_doc tx (Ident.of_int 21) in
+  Alcotest.(check int) "tombstones pending" 2 (Text_index.stats tx).Text_index.delta;
+  Alcotest.(check int) "no merge" 0 (merges tx);
+  let hits path =
+    List.filter_map
+      (fun (i, p, s) ->
+        if s = "the rare needle" && i <> 9 && i <> 21
+           && (match path with None -> true | Some q -> q = p)
+        then Some i
+        else None)
+      docs
+  in
+  check_query tx "rare needle" (hits None);
+  check_query tx ~path:"P" "rare needle" (hits (Some "P"));
+  check_query tx ~path:"Q" "e rare" (hits (Some "Q"))
+
+(* The rarest instance occurs twice in the carrier and only its later
+   occurrence is aligned: "abc" is rarer than "bcd" here, and "xab" is
+   more common than "abc", so the rarest instance is not always the
+   needle's first one. *)
+let test_later_aligned_start () =
+  let tx =
+    index_of
+      [
+        (1, "P", "abcXabcd");
+        (2, "P", "bcd one");
+        (3, "P", "bcd two");
+        (4, "P", "abc xabc");
+        (5, "P", "xab one");
+        (6, "P", "xab two");
+        (7, "P", "abc abx");
+      ]
+  in
+  let found, pr = Text_index.query_probe tx "abcd" in
+  Alcotest.(check (list int)) "abcd" [ 1 ] (set_ids found);
+  Alcotest.(check int) "abcd candidates" 1 pr.Text_index.pr_candidates;
+  let found, pr = Text_index.query_probe tx "xabc" in
+  Alcotest.(check (list int)) "xabc" [ 4 ] (set_ids found);
+  Alcotest.(check int) "xabc candidates" 1 pr.Text_index.pr_candidates
+
+(* Needles cut from the documents' own text, so most probes hit,
+   against a plain map; the probe counts against their definition: a
+   candidate is a live carrier on the path holding every needle
+   trigram somewhere, a verified one holds the needle. *)
+let prop_cursor_walk =
+  let open QCheck2.Gen in
+  let text = string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; ' ' ]) (int_bound 40) in
+  let doc = pair bool text in
+  qcheck_case ~count:300 "cursor walk = plain map; probe counts"
+    (triple (list_size (int_range 1 80) doc)
+       (list_size (int_bound 4) (int_bound 79))
+       (list_size (int_range 1 12) (triple nat nat (int_range 3 8))))
+    (fun (docs, dropped, cuts) ->
+      let docs = List.mapi (fun i (p, s) -> (i + 1, (if p then "P" else "Q"), s)) docs in
+      let tx = index_of docs in
+      let dropped = List.map (fun k -> (k mod List.length docs) + 1) dropped in
+      let tx = List.fold_left (fun tx i -> Text_index.remove_doc tx (Ident.of_int i)) tx dropped in
+      let live = List.filter (fun (i, _, _) -> not (List.mem i dropped)) docs in
+      let arr = Array.of_list docs in
+      let needles =
+        List.filter_map
+          (fun (d, o, len) ->
+            let _, _, s = arr.(d mod Array.length arr) in
+            if String.length s < 3 then None
+            else
+              let o = o mod (String.length s - 2) in
+              Some (String.sub s o (Int.min len (String.length s - o))))
+          cuts
+      in
+      let holds_trigrams s needle =
+        let ok = ref true in
+        for i = 0 to String.length needle - 3 do
+          if not (Text_index.string_contains s (String.sub needle i 3)) then ok := false
+        done;
+        !ok
+      in
+      List.for_all
+        (fun needle ->
+          List.for_all
+            (fun path ->
+              let on_path = List.filter (fun (_, p, _) -> path = None || Some p = path) live in
+              let expect =
+                List.filter_map
+                  (fun (i, _, s) -> if Text_index.string_contains s needle then Some i else None)
+                  on_path
+              in
+              let candidates =
+                List.length (List.filter (fun (_, _, s) -> holds_trigrams s needle) on_path)
+              in
+              let found, pr = Text_index.query_probe tx ?path needle in
+              set_ids found = expect
+              && pr.Text_index.pr_candidates = candidates
+              && pr.Text_index.pr_verified = List.length expect)
+            [ None; Some "P" ])
+        needles)
+
 (* Text_index against a plain map id -> (path, text): a bulk-built base
    of up to 300 documents, then adds and removes — enough for deltas
    with tombstones, re-added ids and merges at any point. *)
@@ -713,6 +926,13 @@ let () =
           tc "no match across a document boundary" test_document_boundary;
           tc "rollback across a merge" test_rollback_across_merge;
           prop_model ] );
+      ( "cursor",
+        [ tc "repeated trigrams" test_repeated_trigrams;
+          tc "adjacent, first and last ranks" test_adjacent_and_edge_ranks;
+          tc "tombstones and other paths between hits"
+            test_tombstones_and_paths_between_hits;
+          tc "only a later start is aligned" test_later_aligned_start;
+          prop_cursor_walk ] );
       ( "equivalence",
         [ prop_select; prop_consistent; prop_all_prefixes; prop_reopen;
           prop_disable ] );
